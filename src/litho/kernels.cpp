@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "fft/fft.hpp"
-#include "litho/tcc.hpp"
 
 namespace ganopc::litho {
 
@@ -74,13 +73,6 @@ SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
                          std::int32_t pixel_nm)
     : config_(config), grid_(grid_size), pixel_nm_(pixel_nm) {
   validate_geometry();
-
-  if (config.kernel_method == KernelMethod::TccSvd) {
-    TccKernelSet tcc = compute_tcc_kernels(config, grid_size, pixel_nm,
-                                           config.num_kernels);
-    adopt(std::move(tcc));
-    return;
-  }
 
   const auto points = sample_annular_source(config, config.num_kernels);
   const std::size_t n = static_cast<std::size_t>(grid_) * grid_;

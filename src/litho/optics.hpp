@@ -15,12 +15,6 @@
 
 namespace ganopc::litho {
 
-/// How the SOCS kernels of Eq. (2) are produced.
-enum class KernelMethod {
-  AbbeSource,  ///< one coherent kernel per sampled source point (default)
-  TccSvd,      ///< Hopkins TCC eigendecomposition ([20]; fewer kernels needed)
-};
-
 struct OpticsConfig {
   double wavelength_nm = 193.0;  ///< ArF excimer
   double na = 1.35;              ///< immersion numerical aperture
@@ -28,7 +22,6 @@ struct OpticsConfig {
   double sigma_outer = 0.8;      ///< annular source outer partial coherence
   int num_kernels = 24;          ///< N_h in Eq. (2); the paper picks 24
   double defocus_nm = 0.0;       ///< optional defocus aberration
-  KernelMethod kernel_method = KernelMethod::AbbeSource;
 
   /// Pupil cutoff spatial frequency NA / lambda (cycles per nm).
   double cutoff() const { return na / wavelength_nm; }

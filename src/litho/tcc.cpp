@@ -5,8 +5,6 @@
 #include <numeric>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
-#include "common/prng.hpp"
 #include "fft/fft.hpp"
 
 namespace ganopc::litho {
@@ -14,46 +12,6 @@ namespace ganopc::litho {
 namespace {
 
 using cdouble = std::complex<double>;
-
-// One frequency sample inside the extended pupil support.
-struct FreqPoint {
-  std::int32_t row, col;  // unshifted grid indices
-  double fx, fy;          // cycles/nm
-};
-
-// Dense source discretization on a polar grid inside the annulus; weights
-// uniform per unit area and normalized to 1.
-struct SourceSample {
-  double fx, fy, weight;
-};
-
-std::vector<SourceSample> dense_source(const OpticsConfig& cfg, int count) {
-  const int rings = std::max(2, static_cast<int>(std::round(std::sqrt(count / 6.0))));
-  std::vector<SourceSample> samples;
-  const double cutoff = cfg.cutoff();
-  double total = 0.0;
-  for (int r = 0; r < rings; ++r) {
-    const double sr0 = cfg.sigma_inner + (cfg.sigma_outer - cfg.sigma_inner) * r / rings;
-    const double sr1 =
-        cfg.sigma_inner + (cfg.sigma_outer - cfg.sigma_inner) * (r + 1) / rings;
-    const double mid = 0.5 * (sr0 + sr1);
-    const double ring_area = sr1 * sr1 - sr0 * sr0;
-    const int per_ring = std::max(
-        4, static_cast<int>(std::round(count * mid /
-                                       (0.5 * (cfg.sigma_inner + cfg.sigma_outer) * rings))));
-    for (int a = 0; a < per_ring; ++a) {
-      const double theta = 2.0 * M_PI * (a + 0.5 * (r % 2)) / per_ring;
-      SourceSample s;
-      s.fx = mid * cutoff * std::cos(theta);
-      s.fy = mid * cutoff * std::sin(theta);
-      s.weight = ring_area / per_ring;
-      total += s.weight;
-      samples.push_back(s);
-    }
-  }
-  for (auto& s : samples) s.weight /= total;
-  return samples;
-}
 
 // Pupil function (amplitude + defocus phase) at frequency (fx, fy).
 cdouble pupil(const OpticsConfig& cfg, double fx, double fy) {
@@ -65,39 +23,97 @@ cdouble pupil(const OpticsConfig& cfg, double fx, double fy) {
   return {std::cos(phase), std::sin(phase)};
 }
 
-// Modified Gram-Schmidt orthonormalization of k column vectors of length n.
-void orthonormalize(std::vector<std::vector<cdouble>>& basis) {
-  for (std::size_t i = 0; i < basis.size(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      cdouble dot{0.0, 0.0};
-      for (std::size_t p = 0; p < basis[i].size(); ++p)
-        dot += std::conj(basis[j][p]) * basis[i][p];
-      for (std::size_t p = 0; p < basis[i].size(); ++p)
-        basis[i][p] -= dot * basis[j][p];
-    }
-    double norm2 = 0.0;
-    for (const auto& v : basis[i]) norm2 += std::norm(v);
-    const double inv = norm2 > 0 ? 1.0 / std::sqrt(norm2) : 0.0;
-    for (auto& v : basis[i]) v *= inv;
+// Complex product without the NaN-recovering libcall std::complex uses
+// unless -ffast-math is on (it dominates the solve otherwise).
+inline cdouble mul(cdouble a, cdouble b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
+
+// Rows p and q of the row-major s-column matrix m become
+// (c x + alpha y, sn x + beta y), where x and y are the old rows.
+void rotate_rows(std::vector<cdouble>& m, std::size_t s, std::size_t p, std::size_t q,
+                 double c, double sn, cdouble alpha, cdouble beta) {
+  cdouble* x = &m[p * s];
+  cdouble* y = &m[q * s];
+  for (std::size_t k = 0; k < s; ++k) {
+    const cdouble xk = x[k], yk = y[k];
+    x[k] = c * xk + mul(alpha, yk);
+    y[k] = sn * xk + mul(beta, yk);
   }
+}
+
+// Cyclic Jacobi eigensolve of the Hermitian s x s matrix `a` (row-major,
+// destroyed). Returns the eigenvalues; row k of `vt` is the unit eigenvector
+// of eigenvalue k. The rotation order is fixed and everything runs serially
+// in double, so the result is bitwise reproducible.
+std::vector<double> hermitian_jacobi(std::vector<cdouble>& a, std::size_t s,
+                                     std::vector<cdouble>& vt) {
+  vt.assign(s * s, cdouble{0.0, 0.0});
+  for (std::size_t i = 0; i < s; ++i) vt[i * s + i] = 1.0;
+  double norm2 = 0.0;
+  for (const cdouble& x : a) norm2 += std::norm(x);
+  auto off_diagonal2 = [&] {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < s; ++i)
+      for (std::size_t j = 0; j < s; ++j)
+        if (i != j) sum += std::norm(a[i * s + j]);
+    return sum;
+  };
+  for (int sweep = 0; sweep < 100 && off_diagonal2() > 1e-28 * norm2; ++sweep) {
+    for (std::size_t p = 0; p + 1 < s; ++p) {
+      for (std::size_t q = p + 1; q < s; ++q) {
+        const cdouble g = a[p * s + q];
+        const double mag = std::abs(g);
+        if (mag == 0.0) continue;
+        // U = diag(1, e) R: the phase e = conj(g)/|g| makes the (p, q) entry
+        // real, then the real rotation R(c, sn) annihilates it.
+        const double app = a[p * s + p].real(), aqq = a[q * s + q].real();
+        const double theta = (aqq - app) / (2.0 * mag);
+        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
+                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
+        const double c = 1.0 / std::sqrt(t * t + 1.0), sn = t * c;
+        const cdouble e = std::conj(g) / mag;
+        // a <- U^H a U: rotate rows p, q, mirror row q into column q (the
+        // result is Hermitian) and set the annihilated 2x2 block. Column p
+        // only feeds that block while p is the pivot, so it is mirrored once
+        // the pivot moves on.
+        rotate_rows(a, s, p, q, c, sn, -sn * std::conj(e), c * std::conj(e));
+        for (std::size_t k = 0; k < s; ++k) a[k * s + q] = std::conj(a[q * s + k]);
+        a[p * s + p] = app - t * mag;
+        a[q * s + q] = aqq + t * mag;
+        a[p * s + q] = a[q * s + p] = 0.0;
+        rotate_rows(vt, s, p, q, c, sn, -sn * e, c * e);  // v <- v U
+      }
+      for (std::size_t k = 0; k < s; ++k) a[k * s + p] = std::conj(a[p * s + k]);
+    }
+  }
+  std::vector<double> eigenvalues(s);
+  for (std::size_t i = 0; i < s; ++i) eigenvalues[i] = a[i * s + i].real();
+  return eigenvalues;
 }
 
 }  // namespace
 
 TccKernelSet compute_tcc_kernels(const OpticsConfig& config, std::int32_t grid_size,
-                                 std::int32_t pixel_nm, int num_kernels,
-                                 const TccOptions& options) {
+                                 std::int32_t pixel_nm,
+                                 const std::vector<SourcePoint>& source,
+                                 int num_kernels) {
   GANOPC_CHECK_MSG(config.valid(), "invalid optics configuration");
   GANOPC_CHECK_MSG(fft::is_pow2(static_cast<std::size_t>(grid_size)),
                    "grid size must be a power of two");
-  GANOPC_CHECK(num_kernels > 0 && options.power_iterations > 0);
-  GANOPC_CHECK_MSG(!options.source_points.empty() || options.source_samples > 8,
-                   "dense source discretization needs more than 8 samples");
+  GANOPC_CHECK_MSG(num_kernels > 0 && static_cast<std::size_t>(num_kernels) <= source.size(),
+                   "tcc: kernel count must be in [1, #source points] (the "
+                   "operator's rank is at most the number of source points)");
   const double df = 1.0 / (static_cast<double>(grid_size) * pixel_nm);
   const double support = (1.0 + config.sigma_outer) * config.cutoff();
   GANOPC_CHECK_MSG(support < 0.5 / pixel_nm, "pixel size too coarse for the pupil");
 
   // Enumerate grid frequencies inside the extended pupil support.
+  struct FreqPoint {
+    std::int32_t row, col;  // unshifted grid indices
+    double fx, fy;          // cycles/nm
+  };
   std::vector<FreqPoint> points;
   for (std::int32_t r = 0; r < grid_size; ++r) {
     const std::int32_t rr = r <= grid_size / 2 ? r : r - grid_size;
@@ -109,110 +125,70 @@ TccKernelSet compute_tcc_kernels(const OpticsConfig& config, std::int32_t grid_s
     }
   }
   const std::size_t n = points.size();
-  GANOPC_CHECK_MSG(static_cast<int>(n) >= num_kernels,
-                   "pupil support smaller than requested kernel count");
+  const std::size_t s_count = source.size();
 
-  // Assemble the Hermitian TCC matrix: T += J_s * p_s p_s^H where p_s is the
-  // shifted-pupil vector for one source sample. Row blocks accumulate in
-  // parallel.
-  std::vector<cdouble> tcc(n * n, cdouble{0.0, 0.0});
-  std::vector<SourceSample> source;
-  if (options.source_points.empty()) {
-    source = dense_source(config, options.source_samples);
-  } else {
-    double total = 0.0;
-    for (const auto& p : options.source_points) {
-      GANOPC_CHECK_MSG(std::isfinite(p.fx) && std::isfinite(p.fy) &&
-                           std::isfinite(p.weight) && p.weight > 0.0,
-                       "tcc: explicit source points need finite positive weights");
-      source.push_back({p.fx, p.fy, p.weight});
-      total += p.weight;
-    }
-    for (auto& s : source) s.weight /= total;
+  double total = 0.0;
+  for (const auto& p : source) {
+    GANOPC_CHECK_MSG(std::isfinite(p.fx) && std::isfinite(p.fy) &&
+                         std::isfinite(p.weight) && p.weight > 0.0,
+                     "tcc: source points need finite positive weights");
+    total += p.weight;
   }
-  std::vector<std::vector<cdouble>> shifted(source.size());
-  for (std::size_t s = 0; s < source.size(); ++s) {
-    shifted[s].resize(n);
+  // Column s of B: sqrt(w_s) times the pupil shifted by source point s.
+  std::vector<std::vector<cdouble>> b(s_count, std::vector<cdouble>(n));
+  for (std::size_t s = 0; s < s_count; ++s) {
+    const double amp = std::sqrt(source[s].weight / total);
     for (std::size_t i = 0; i < n; ++i)
-      shifted[s][i] = pupil(config, source[s].fx + points[i].fx,
+      b[s][i] = amp * pupil(config, source[s].fx + points[i].fx,
                             source[s].fy + points[i].fy);
   }
-  parallel_for_chunks(0, n, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t s = 0; s < source.size(); ++s) {
-      const double w = source[s].weight;
-      const auto& p = shifted[s];
-      for (std::size_t i = r0; i < r1; ++i) {
-        if (p[i] == cdouble{0.0, 0.0}) continue;
-        const cdouble pi_w = w * p[i];
-        cdouble* row = &tcc[i * n];
-        for (std::size_t j = 0; j < n; ++j) row[j] += pi_w * std::conj(p[j]);
-      }
+  // G = B^H B, filled from its upper triangle.
+  std::vector<cdouble> gram(s_count * s_count);
+  for (std::size_t s = 0; s < s_count; ++s) {
+    for (std::size_t t = s; t < s_count; ++t) {
+      cdouble dot{0.0, 0.0};
+      for (std::size_t i = 0; i < n; ++i) dot += mul(std::conj(b[s][i]), b[t][i]);
+      gram[s * s_count + t] = dot;
+      gram[t * s_count + s] = std::conj(dot);
     }
-  }, /*serial_threshold=*/1);
-
-  // Subspace iteration for the leading eigenpairs.
-  Prng rng(options.seed);
-  std::vector<std::vector<cdouble>> basis(static_cast<std::size_t>(num_kernels));
-  for (auto& vec : basis) {
-    vec.resize(n);
-    for (auto& v : vec) v = {rng.normal(), rng.normal()};
   }
-  orthonormalize(basis);
-  std::vector<std::vector<cdouble>> product(basis.size());
-  for (int it = 0; it < options.power_iterations; ++it) {
-    parallel_for(0, basis.size(), [&](std::size_t k) {
-      auto& out = product[k];
-      out.assign(n, cdouble{0.0, 0.0});
-      for (std::size_t i = 0; i < n; ++i) {
-        const cdouble* row = &tcc[i * n];
-        cdouble acc{0.0, 0.0};
-        for (std::size_t j = 0; j < n; ++j) acc += row[j] * basis[k][j];
-        out[i] = acc;
-      }
-    }, /*serial_threshold=*/1);
-    std::swap(basis, product);
-    orthonormalize(basis);
-  }
-
-  // Rayleigh quotients give the eigenvalues.
-  std::vector<double> eigenvalues(basis.size(), 0.0);
-  for (std::size_t k = 0; k < basis.size(); ++k) {
-    cdouble acc{0.0, 0.0};
-    for (std::size_t i = 0; i < n; ++i) {
-      const cdouble* row = &tcc[i * n];
-      cdouble ti{0.0, 0.0};
-      for (std::size_t j = 0; j < n; ++j) ti += row[j] * basis[k][j];
-      acc += std::conj(basis[k][i]) * ti;
-    }
-    eigenvalues[k] = acc.real();
-  }
-  // Sort by descending eigenvalue.
-  std::vector<std::size_t> order(basis.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return eigenvalues[a] > eigenvalues[b]; });
-
   double trace = 0.0;
-  for (std::size_t i = 0; i < n; ++i) trace += tcc[i * n + i].real();
+  for (std::size_t s = 0; s < s_count; ++s) trace += gram[s * s_count + s].real();
+
+  std::vector<cdouble> u;  // row k: the eigenvector u_k of G
+  const std::vector<double> eigenvalues = hermitian_jacobi(gram, s_count, u);
+  std::vector<std::size_t> order(s_count);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return eigenvalues[x] > eigenvalues[y];
+  });
 
   TccKernelSet result;
   const std::size_t grid_px = static_cast<std::size_t>(grid_size) * grid_size;
   double captured = 0.0;
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    const std::size_t k = order[rank];
+  for (int rank = 0; rank < num_kernels; ++rank) {
+    const std::size_t k = order[static_cast<std::size_t>(rank)];
     GANOPC_CHECK_MSG(std::isfinite(eigenvalues[k]),
                      "tcc: eigensolve produced a non-finite eigenvalue "
                      "(poisoned optics?)");
     const double lambda = std::max(eigenvalues[k], 0.0);
     captured += lambda;
+    // phi_k = B u_k / sqrt(lambda_k); a null direction keeps a zero kernel.
     std::vector<std::complex<float>> kernel(grid_px, {0.0f, 0.0f});
-    for (std::size_t i = 0; i < n; ++i) {
-      kernel[static_cast<std::size_t>(points[i].row) * grid_size + points[i].col] = {
-          static_cast<float>(basis[k][i].real()), static_cast<float>(basis[k][i].imag())};
+    if (lambda > 0.0) {
+      const double inv = 1.0 / std::sqrt(lambda);
+      for (std::size_t i = 0; i < n; ++i) {
+        cdouble acc{0.0, 0.0};
+        for (std::size_t s = 0; s < s_count; ++s) acc += mul(b[s][i], u[k * s_count + s]);
+        acc *= inv;
+        kernel[static_cast<std::size_t>(points[i].row) * grid_size + points[i].col] = {
+            static_cast<float>(acc.real()), static_cast<float>(acc.imag())};
+      }
     }
     result.kernels_hat.push_back(std::move(kernel));
     result.weights.push_back(static_cast<float>(lambda));
   }
+  result.trace = trace;
   result.captured_energy = trace > 0.0 ? captured / trace : 0.0;
   return result;
 }

@@ -9,10 +9,14 @@
 // which converges in far fewer kernels than direct Abbe source sampling —
 // the reason production simulators ship SVD kernels (as lithosim_v4 does).
 //
-// The operator is assembled on the pupil-limited frequency support (a disk
-// of |f| < (1 + sigma_out) NA/lambda, a few thousand samples on our grids)
-// from a dense source discretization, then the leading eigenpairs are
-// extracted by subspace iteration.
+// For a source discretized at S points the operator factors exactly as
+// T = B B^H, where column s of B (n x S, n = samples of the pupil-limited
+// frequency support) is sqrt(w_s) times the pupil shifted by source point s.
+// Its nonzero eigenpairs therefore come from the S x S Gram matrix
+// G = B^H B: if G u = lambda u then phi = B u / sqrt(lambda) is a unit
+// eigenvector of T with the same eigenvalue, and trace(T) = trace(G). The
+// n x n operator is never formed; G is diagonalized by a deterministic
+// Hermitian Jacobi sweep, so the kernels are exact up to double rounding.
 #pragma once
 
 #include <complex>
@@ -30,26 +34,22 @@ struct TccKernelSet {
   std::vector<float> weights;
   /// Fraction of the TCC trace captured by the retained kernels in [0, 1].
   double captured_energy = 0.0;
+  /// Trace of the whole operator (sum of all S eigenvalues), so a caller
+  /// can compute the captured energy of any shorter prefix exactly.
+  double trace = 0.0;
 };
 
-struct TccOptions {
-  int source_samples = 256;   ///< dense source discretization for the TCC
-  int power_iterations = 40;  ///< subspace-iteration sweeps
-  std::uint64_t seed = 7;     ///< deterministic start block
-  /// When non-empty, assemble the TCC from exactly these source points
-  /// (weights need not sum to 1; they are normalized) instead of the dense
-  /// polar discretization. Passing the Abbe sampling here makes the truncated
-  /// SOCS converge to the Abbe reference image as k grows, so the retained
-  /// trace fraction (`captured_energy`) bounds the Abbe-vs-TCC image error —
-  /// the property the backend-equivalence tier pins (DESIGN.md §15).
-  std::vector<SourcePoint> source_points;
-};
-
-/// Compute the top `num_kernels` TCC eigen-kernels for the given optics and
-/// simulation grid. grid_size must be a power of two and the pixel fine
-/// enough to hold the pupil support (same constraint as SocsKernels).
+/// Compute the top `num_kernels` TCC eigen-kernels of the operator generated
+/// by `source` (weights need not sum to 1; they are normalized). The operator
+/// has rank <= source.size(), so num_kernels must lie in [1, source.size()].
+/// Pass `sample_annular_source(config, config.num_kernels)` to get kernels
+/// whose full-rank expansion reproduces the Abbe image (DESIGN.md §15), or a
+/// denser sampling for a converged reference. grid_size must be a power of
+/// two and the pixel fine enough to hold the pupil support (same constraint
+/// as SocsKernels).
 TccKernelSet compute_tcc_kernels(const OpticsConfig& config, std::int32_t grid_size,
-                                 std::int32_t pixel_nm, int num_kernels,
-                                 const TccOptions& options = {});
+                                 std::int32_t pixel_nm,
+                                 const std::vector<SourcePoint>& source,
+                                 int num_kernels);
 
 }  // namespace ganopc::litho

@@ -5,9 +5,9 @@
 // the obs histograms) plus a deterministic quality section; the run ledger
 // carries per-run convergence trajectories. This module diffs a baseline
 // against a current run of either and folds everything into one pass/fail
-// report: CI's regress-gate step and `ganopc report` both call it, so the
-// gate that blocks a PR and the report a developer runs locally can never
-// disagree about what "regressed" means.
+// report. tools/obs_diff is its one front-end, used both by CI's
+// regress-gate step and locally, so the gate that blocks a PR and the check a
+// developer runs can never disagree about what "regressed" means.
 //
 // Gating policy:
 //   * runtime — current/baseline ratio of each stage's p50 and p95 must stay

@@ -112,9 +112,10 @@ TEST(BackendEquivalence, AerialErrorBoundedByDiscardedEnergy) {
     const double err = relative_l2(tcc.aerial(mask), ref);
     EXPECT_LE(err, (1.0 - energy) + 1e-4)
         << "k=" << k << " captured_energy=" << energy;
-    // Monotone sanity: the full-rank expansion reproduces Abbe to float eps.
+    // The full-rank expansion is exact: it reproduces Abbe up to float
+    // kernel storage and FFT rounding.
     if (k == 24) {
-      EXPECT_LE(err, 1e-4);
+      EXPECT_LE(err, 1e-6);
     }
   }
 }

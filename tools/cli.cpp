@@ -38,9 +38,6 @@
 //   ganopc txt2gds  --layout FILE --out FILE.gds [--cell NAME] [--layer N]
 //   ganopc gds2txt  --gds FILE.gds --out FILE.txt [--cell NAME] [--layer N]
 //                   [--clipsize NM]
-//   ganopc report   [--bench-base A[,B,...] --bench-cur A[,B,...]]
-//                   [--ledger-base FILE --ledger-cur FILE]
-//                   [--max-runtime-ratio R] [--max-quality-ratio R]
 //
 // Layout files use the text format of geom::Layout (clip/rect lines), GDSII
 // (.gds extension, loaded with --clipsize window), or contest GLP; masks are
@@ -70,9 +67,6 @@
 //                        metrics snapshot; arms the flight recorder, which
 //                        dumps FILE.crash.json on watchdog/fatal exits
 // all default-off; enabling them costs one atomic flag check per site.
-// `report` diffs a baseline BENCH_*.json (and/or ledger) pair against a
-// current one and exits 0/4 on the PASS/FAIL regression verdict — the same
-// verdict CI's regress-gate computes via tools/obs_diff.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -107,7 +101,6 @@
 #include "gds/gds.hpp"
 #include "nn/serialize.hpp"
 #include "obs/ledger.hpp"
-#include "obs/regress.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
 #include "sraf/sraf.hpp"
@@ -612,41 +605,9 @@ int cmd_gds2txt(const Args& args) {
   return 0;
 }
 
-// Regression verdict over baseline/current BENCH_*.json and/or ledger pairs.
-// Exit 0 = PASS, 4 = FAIL (so CI can distinguish a regression from a crash).
-int cmd_report(const Args& args) {
-  obs::RegressThresholds thresholds;
-  thresholds.max_runtime_ratio =
-      args.get_double("max-runtime-ratio", thresholds.max_runtime_ratio);
-  thresholds.max_quality_ratio =
-      args.get_double("max-quality-ratio", thresholds.max_quality_ratio);
-
-  const std::vector<std::string> bench_base = split_csv(args.get("bench-base", ""));
-  const std::vector<std::string> bench_cur = split_csv(args.get("bench-cur", ""));
-  GANOPC_CHECK_MSG(bench_base.size() == bench_cur.size(),
-                   "--bench-base and --bench-cur need the same number of files");
-  const std::string ledger_base = args.get("ledger-base", "");
-  const std::string ledger_cur = args.get("ledger-cur", "");
-  GANOPC_CHECK_MSG(ledger_base.empty() == ledger_cur.empty(),
-                   "--ledger-base and --ledger-cur must be given together");
-  GANOPC_CHECK_MSG(!bench_base.empty() || !ledger_base.empty(),
-                   "nothing to compare (use --bench-base/--bench-cur and/or "
-                   "--ledger-base/--ledger-cur)");
-
-  obs::RegressReport report;
-  for (std::size_t i = 0; i < bench_base.size(); ++i)
-    obs::compare_bench(obs::load_bench_file(bench_base[i]),
-                       obs::load_bench_file(bench_cur[i]), thresholds, report);
-  if (!ledger_base.empty())
-    obs::compare_ledgers(obs::read_ledger(ledger_base),
-                         obs::read_ledger(ledger_cur), thresholds, report);
-  std::printf("%s", report.summary().c_str());
-  return report.pass ? 0 : 4;
-}
-
 void usage() {
   std::fprintf(stderr,
-               "usage: ganopc <synth|sraf|ilt|mbopc|eval|train|flow|optimize|batch|serve|report> [--flag value ...]\n"
+               "usage: ganopc <synth|sraf|ilt|mbopc|eval|train|flow|optimize|batch|serve> [--flag value ...]\n"
                "global flags: --metrics-out FILE (Prometheus text, or JSON when\n"
                "FILE ends in .json), --trace-out FILE (chrome://tracing JSON)\n"
                "and --ledger-out FILE (JSONL run ledger + flight recorder);\n"
@@ -758,7 +719,6 @@ int dispatch(const std::string& cmd, const Args& args) {
   if (cmd == "serve") return cmd_serve(args);
   if (cmd == "txt2gds") return cmd_txt2gds(args);
   if (cmd == "gds2txt") return cmd_gds2txt(args);
-  if (cmd == "report") return cmd_report(args);
   usage();
   return 2;
 }

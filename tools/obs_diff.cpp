@@ -7,9 +7,9 @@
 // Diffs each baseline/current pair — BENCH_*.json files from bench_regress
 // and/or JSONL run ledgers from --ledger-out — and prints one combined
 // verdict. Exit codes: 0 PASS, 4 FAIL (regression), 2 usage, 1 I/O or parse
-// error, so CI can tell a regression from a broken invocation. The verdict
-// logic is shared with `ganopc report` (src/obs/regress), so the gate that
-// blocks a PR and the report a developer runs locally always agree.
+// error, so CI can tell a regression from a broken invocation. It is the
+// one front-end over the verdict logic in src/obs/regress: the gate CI runs
+// and the check a developer runs locally are the same command.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -7,6 +7,8 @@
 // directory reuses work:
 //   figure7_training_curves  trains GAN-OPC + PGAN-OPC and saves both
 //   figure8_visuals/table2   load the saved generators when present
+// The Table 2 flows run through engine::Engine sessions with
+// SubmitPolicy::single_solve, the same path `ganopc optimize --rung` takes.
 #pragma once
 
 #include <cstdio>
@@ -14,12 +16,14 @@
 #include <filesystem>
 #include <string>
 
+#include "common/error.hpp"
 #include "common/prng.hpp"
 #include "core/config.hpp"
 #include "core/dataset.hpp"
 #include "core/discriminator.hpp"
 #include "core/generator.hpp"
 #include "core/trainer.hpp"
+#include "engine/engine.hpp"
 #include "litho/lithosim.hpp"
 #include "nn/serialize.hpp"
 
@@ -107,6 +111,31 @@ inline core::Generator get_generator(const core::GanOpcConfig& cfg,
   if (stats_out != nullptr) *stats_out = stats;
   nn::save_parameters(generator.net(), path);
   return generator;
+}
+
+/// A single-solve session; a caller-owned `generator` adds the GAN+ILT rung.
+inline engine::EngineOptions single_solve_options(const core::GanOpcConfig& cfg,
+                                                  core::Generator* generator = nullptr) {
+  engine::EngineOptions o;
+  o.config = cfg;
+  o.generator = generator;
+  o.policy = engine::SubmitPolicy::single_solve();
+  return o;
+}
+
+/// One solve of `clip` on the named rung ("gan+ilt" = Figure 6 flow, "ilt" =
+/// the [7] baseline), mask included. A failed solve aborts the bench.
+inline engine::MaskResult solve(const engine::Engine& eng, const geom::Layout& clip,
+                                const std::string& rung) {
+  engine::BatchClip bc;
+  bc.id = rung;
+  bc.layout = clip;
+  engine::SubmitOptions so;
+  so.start_rung = eng.rung_index(rung);
+  so.want_mask = true;
+  engine::MaskResult r = eng.submit(bc, so);
+  GANOPC_CHECK_MSG(r.row.ok(), rung << " solve failed: " << r.row.error);
+  return r;
 }
 
 }  // namespace ganopc::bench

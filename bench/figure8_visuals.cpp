@@ -9,7 +9,6 @@
 
 #include "bench_util.hpp"
 #include "common/image_io.hpp"
-#include "core/flow.hpp"
 #include "geometry/raster.hpp"
 #include "layout/benchmark_suite.hpp"
 #include "metrics/defects.hpp"
@@ -20,14 +19,13 @@ int main() {
   const core::GanOpcConfig cfg = bench::bench_config();
   std::printf("== Figure 8/9: mask and wafer visualization panels ==\n\n");
 
-  const litho::LithoSim sim(cfg.optics, litho::ResistConfig{}, cfg.litho_grid,
-                            cfg.litho_pixel_nm());
+  const engine::Engine ilt_eng(bench::single_solve_options(cfg));
+  const litho::LithoSim& sim = ilt_eng.sim();
   const core::Dataset dataset = bench::get_dataset(cfg, sim);
   core::Generator pgan = bench::get_generator(cfg, sim, dataset, /*pretrained=*/true);
+  const engine::Engine pgan_eng(bench::single_solve_options(cfg, &pgan));
 
   const auto suite = layout::make_benchmark_suite(cfg.clip_nm);
-  const core::GanOpcFlow ilt_flow(cfg, nullptr, sim);
-  const core::GanOpcFlow pgan_flow(cfg, &pgan, sim);
 
   const auto dump = [](const geom::Grid& g, const std::string& name) {
     write_pgm(name, to_gray(g.data.data(), g.cols, g.rows));
@@ -36,29 +34,32 @@ int main() {
   std::printf("%-4s | %-22s | %-22s\n", "ID", "ILT [7] EPEV/neck/brk/brdg",
               "PGAN-OPC EPEV/neck/brk/brdg");
   for (const auto& bc : suite) {
-    const core::FlowResult r_ilt = ilt_flow.run_ilt_only(bc.layout);
-    const core::FlowResult r_pgan = pgan_flow.run(bc.layout);
+    const geom::Grid ilt_mask = bench::solve(ilt_eng, bc.layout, "ilt").mask;
+    const geom::Grid pgan_mask = bench::solve(pgan_eng, bc.layout, "gan+ilt").mask;
+    const geom::Grid ilt_wafer = sim.simulate(ilt_mask);
+    const geom::Grid pgan_wafer = sim.simulate(pgan_mask);
+    const geom::Grid tg =
+        geom::rasterize(bc.layout, cfg.litho_pixel_nm(), /*threshold=*/true);
     const std::string tag = "figure8_case" + std::to_string(bc.id);
-    dump(r_ilt.mask, tag + "_a_ilt_mask.pgm");
-    dump(r_pgan.mask, tag + "_b_pgan_mask.pgm");
-    dump(r_ilt.wafer, tag + "_c_ilt_wafer.pgm");
-    dump(r_pgan.wafer, tag + "_d_pgan_wafer.pgm");
-    dump(r_pgan.target, tag + "_e_target.pgm");
+    dump(ilt_mask, tag + "_a_ilt_mask.pgm");
+    dump(pgan_mask, tag + "_b_pgan_mask.pgm");
+    dump(ilt_wafer, tag + "_c_ilt_wafer.pgm");
+    dump(pgan_wafer, tag + "_d_pgan_wafer.pgm");
+    dump(tg, tag + "_e_target.pgm");
 
     // Figure 9: defect details of both flows.
-    const geom::Grid& tg = r_pgan.target;
-    const auto count = [&](const core::FlowResult& r) {
-      const auto epe = metrics::measure_epe(bc.layout, r.wafer);
-      const auto necks = metrics::detect_necks(bc.layout, r.wafer);
-      const auto breaks = metrics::detect_breaks(tg, r.wafer);
-      const auto bridges = metrics::detect_bridges(tg, r.wafer);
+    const auto count = [&](const geom::Grid& wafer) {
+      const auto epe = metrics::measure_epe(bc.layout, wafer);
+      const auto necks = metrics::detect_necks(bc.layout, wafer);
+      const auto breaks = metrics::detect_breaks(tg, wafer);
+      const auto bridges = metrics::detect_bridges(tg, wafer);
       char buf[64];
       std::snprintf(buf, sizeof buf, "%3d / %2zu / %2zu / %2zu", epe.violations,
                     necks.size(), breaks.size(), bridges.size());
       return std::string(buf);
     };
-    std::printf("%-4d | %-26s | %-26s\n", bc.id, count(r_ilt).c_str(),
-                count(r_pgan).c_str());
+    std::printf("%-4d | %-26s | %-26s\n", bc.id, count(ilt_wafer).c_str(),
+                count(pgan_wafer).c_str());
   }
   std::printf("\nwrote figure8_case<N>_{a..e}_*.pgm (5 panels x 10 cases)\n");
   return 0;

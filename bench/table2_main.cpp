@@ -6,7 +6,9 @@
 // model; absolute numbers therefore differ from the paper, but the *shape*
 // — GAN flows cutting runtime roughly in half at equal-or-better L2, PGAN
 // edging out GAN — is the reproduction target. Paper ratios are printed
-// alongside for comparison.
+// alongside for comparison. Each flow is one Engine session solving exactly
+// one rung per clip (bench::single_solve_options); RT is generator inference
+// plus ILT refinement of that solve.
 //
 // Scale via GANOPC_SCALE=quick|default|paper (default: bench scale).
 #include <cstdio>
@@ -14,13 +16,20 @@
 
 #include "bench_util.hpp"
 #include "common/csv.hpp"
-#include "core/flow.hpp"
 #include "layout/benchmark_suite.hpp"
 
 namespace {
 
+double run_seconds(const ganopc::engine::MaskResult& r) { return r.generator_s + r.ilt_s; }
+
 struct Row {
   double l2 = 0.0, pvb = 0.0, rt = 0.0;
+
+  void add(const ganopc::engine::MaskResult& r) {
+    l2 += r.row.l2_nm2;
+    pvb += static_cast<double>(r.row.pvb_nm2);
+    rt += run_seconds(r);
+  }
 };
 
 }  // namespace
@@ -33,16 +42,15 @@ int main() {
               cfg.litho_grid, cfg.litho_pixel_nm(), cfg.gan_grid,
               cfg.ilt.max_iterations);
 
-  const litho::LithoSim sim(cfg.optics, litho::ResistConfig{}, cfg.litho_grid,
-                            cfg.litho_pixel_nm());
+  const engine::Engine ilt_eng(bench::single_solve_options(cfg));
+  const litho::LithoSim& sim = ilt_eng.sim();
   const core::Dataset dataset = bench::get_dataset(cfg, sim);
   core::Generator gan = bench::get_generator(cfg, sim, dataset, /*pretrained=*/false);
   core::Generator pgan = bench::get_generator(cfg, sim, dataset, /*pretrained=*/true);
+  const engine::Engine gan_eng(bench::single_solve_options(cfg, &gan));
+  const engine::Engine pgan_eng(bench::single_solve_options(cfg, &pgan));
 
   const auto suite = layout::make_benchmark_suite(cfg.clip_nm);
-  const core::GanOpcFlow ilt_flow(cfg, nullptr, sim);
-  const core::GanOpcFlow gan_flow(cfg, &gan, sim);
-  const core::GanOpcFlow pgan_flow(cfg, &pgan, sim);
 
   CsvWriter csv("table2_results.csv",
                 {"case", "area_nm2", "ilt_l2", "ilt_pvb", "ilt_rt", "gan_l2", "gan_pvb",
@@ -53,29 +61,23 @@ int main() {
               "PVB", "RT(s)");
   Row ilt_sum, gan_sum, pgan_sum;
   for (const auto& bc : suite) {
-    const core::FlowResult r_ilt = ilt_flow.run_ilt_only(bc.layout);
-    const core::FlowResult r_gan = gan_flow.run(bc.layout);
-    const core::FlowResult r_pgan = pgan_flow.run(bc.layout);
+    const engine::MaskResult r_ilt = bench::solve(ilt_eng, bc.layout, "ilt");
+    const engine::MaskResult r_gan = bench::solve(gan_eng, bc.layout, "gan+ilt");
+    const engine::MaskResult r_pgan = bench::solve(pgan_eng, bc.layout, "gan+ilt");
+    const engine::BatchClipResult &ilt = r_ilt.row, &g = r_gan.row, &pg = r_pgan.row;
     std::printf("%-4d %-9ld | %9.0f %9ld %7.2f | %9.0f %9ld %7.2f | %9.0f %9ld %7.2f\n",
-                bc.id, static_cast<long>(bc.layout.union_area()), r_ilt.l2_nm2,
-                static_cast<long>(r_ilt.pvb_nm2), r_ilt.total_seconds(), r_gan.l2_nm2,
-                static_cast<long>(r_gan.pvb_nm2), r_gan.total_seconds(), r_pgan.l2_nm2,
-                static_cast<long>(r_pgan.pvb_nm2), r_pgan.total_seconds());
+                bc.id, static_cast<long>(bc.layout.union_area()), ilt.l2_nm2,
+                static_cast<long>(ilt.pvb_nm2), run_seconds(r_ilt), g.l2_nm2,
+                static_cast<long>(g.pvb_nm2), run_seconds(r_gan), pg.l2_nm2,
+                static_cast<long>(pg.pvb_nm2), run_seconds(r_pgan));
     csv.row_numeric({static_cast<double>(bc.id),
-                     static_cast<double>(bc.layout.union_area()), r_ilt.l2_nm2,
-                     static_cast<double>(r_ilt.pvb_nm2), r_ilt.total_seconds(),
-                     r_gan.l2_nm2, static_cast<double>(r_gan.pvb_nm2),
-                     r_gan.total_seconds(), r_pgan.l2_nm2,
-                     static_cast<double>(r_pgan.pvb_nm2), r_pgan.total_seconds()});
-    ilt_sum.l2 += r_ilt.l2_nm2;
-    ilt_sum.pvb += static_cast<double>(r_ilt.pvb_nm2);
-    ilt_sum.rt += r_ilt.total_seconds();
-    gan_sum.l2 += r_gan.l2_nm2;
-    gan_sum.pvb += static_cast<double>(r_gan.pvb_nm2);
-    gan_sum.rt += r_gan.total_seconds();
-    pgan_sum.l2 += r_pgan.l2_nm2;
-    pgan_sum.pvb += static_cast<double>(r_pgan.pvb_nm2);
-    pgan_sum.rt += r_pgan.total_seconds();
+                     static_cast<double>(bc.layout.union_area()), ilt.l2_nm2,
+                     static_cast<double>(ilt.pvb_nm2), run_seconds(r_ilt), g.l2_nm2,
+                     static_cast<double>(g.pvb_nm2), run_seconds(r_gan), pg.l2_nm2,
+                     static_cast<double>(pg.pvb_nm2), run_seconds(r_pgan)});
+    ilt_sum.add(r_ilt);
+    gan_sum.add(r_gan);
+    pgan_sum.add(r_pgan);
   }
   const double n = static_cast<double>(suite.size());
   std::printf("%-14s | %9.1f %9.1f %7.2f | %9.1f %9.1f %7.2f | %9.1f %9.1f %7.2f\n",

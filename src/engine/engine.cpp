@@ -68,10 +68,22 @@ Engine::Engine(EngineOptions options)
     nn::load_parameters(owned_generator_->net(), options.generator_path);
     generator_ = owned_generator_.get();
   }
-  if (generator_ != nullptr)
+  if (generator_ != nullptr) {
     GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
                        generator_->image_size() == config_.gan_grid,
                        "engine: generator size mismatch");
+    rungs_.push_back(BatchStage::GanIlt);
+  }
+  rungs_.push_back(BatchStage::Ilt);
+  rungs_.push_back(BatchStage::MbOpc);
+}
+
+int Engine::rung_index(const std::string& name) const {
+  for (std::size_t i = 0; i < rungs_.size(); ++i)
+    if (name == batch_stage_name(rungs_[i])) return static_cast<int>(i);
+  throw StatusError(StatusCode::kInvalidInput,
+                    "engine: session has no rung '" + name + "'" +
+                        (generator_ == nullptr ? " (gan+ilt needs a generator)" : ""));
 }
 
 MaskResult Engine::submit(const BatchClip& clip, const SubmitOptions& opts) const {
@@ -111,8 +123,8 @@ MaskResult Engine::submit(const BatchClip& clip, const SubmitOptions& opts) cons
       loaded = load_layout_file(clip.path, config_.clip_nm);
       layout = &loaded;
     }
-    optimize_clip(*layout, deadline_s, res, timer, opts.start_rung,
-                  opts.want_mask ? &out.mask : nullptr);
+    optimize_clip(*layout, deadline_s, timer, opts.start_rung, opts.want_mask,
+                  out);
   } catch (const std::exception& e) {
     const Status s = status_from_exception(e);
     res.code = s.code();
@@ -143,8 +155,9 @@ MaskResult Engine::submit(const BatchClip& clip, const SubmitOptions& opts) cons
 }
 
 void Engine::optimize_clip(const geom::Layout& clip, double clip_deadline_s,
-                           BatchClipResult& res, const WallTimer& timer,
-                           int start_rung, geom::Grid* mask_out) const {
+                           const WallTimer& timer, int start_rung,
+                           bool want_mask, MaskResult& out) const {
+  BatchClipResult& res = out.row;
   GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
                      clip.clip().width() == config_.clip_nm &&
                          clip.clip().height() == config_.clip_nm,
@@ -161,24 +174,22 @@ void Engine::optimize_clip(const geom::Layout& clip, double clip_deadline_s,
           ? static_cast<double>(policy_.l2_accept_factor) * std::max(uncorrected, 1.0)
           : std::numeric_limits<double>::infinity();
 
-  std::vector<BatchStage> chain;
-  if (generator_ != nullptr) chain.push_back(BatchStage::GanIlt);
-  chain.push_back(BatchStage::Ilt);
-  chain.push_back(BatchStage::MbOpc);
-  if (!policy_.allow_fallback) chain.resize(1);
-  // Supervised mode retries a crash-survivor one rung down its chain per
-  // prior crash (a clip whose GAN+ILT segfaulted a worker restarts at plain
-  // ILT, then MB-OPC) — skipped rungs count as fallbacks like any other
-  // abandonment. The last rung is never skipped; quarantine caps the loop.
-  const int skip = std::min(std::max(start_rung, 0),
-                            static_cast<int>(chain.size()) - 1);
-  chain.erase(chain.begin(), chain.begin() + skip);
-  res.fallbacks += skip;
+  // Enter the chain at start_rung, then truncate: supervised mode retries a
+  // crash-survivor one rung down per prior crash (a clip whose GAN+ILT
+  // segfaulted a worker restarts at plain ILT, then MB-OPC), serve's breaker
+  // sends degraded requests straight to MB-OPC, and `optimize --rung` picks
+  // one rung — with fallback off, exactly that rung runs. Skipped rungs count
+  // as fallbacks like any other abandonment. The last rung is never skipped;
+  // quarantine caps the loop.
+  const std::size_t first = static_cast<std::size_t>(
+      std::clamp(start_rung, 0, static_cast<int>(rungs_.size()) - 1));
+  const std::size_t end = policy_.allow_fallback ? rungs_.size() : first + 1;
+  res.fallbacks += static_cast<int>(first);
 
   Status last(StatusCode::kInternal, "no optimization attempt ran");
-  for (std::size_t si = 0; si < chain.size(); ++si) {
-    if (si > 0) ++res.fallbacks;
-    const BatchStage stage = chain[si];
+  for (std::size_t si = first; si < end; ++si) {
+    if (si > first) ++res.fallbacks;
+    const BatchStage stage = rungs_[si];
     // MB-OPC is deterministic in its inputs — a retry would replay the same
     // trajectory, so only the gradient-based rungs get perturbed restarts.
     const int attempts =
@@ -217,9 +228,9 @@ void Engine::optimize_clip(const geom::Layout& clip, double clip_deadline_s,
       try {
         const bool done =
             stage == BatchStage::MbOpc
-                ? attempt_mbopc(clip, accept_l2, res, last, mask_out)
-                : attempt_ilt(stage, target, accept_l2, remaining, attempt, res,
-                              last, mask_out);
+                ? attempt_mbopc(clip, accept_l2, want_mask, out, last)
+                : attempt_ilt(stage, target, accept_l2, remaining, attempt,
+                              want_mask, out, last);
         if (done) return;
         if (last.code() == StatusCode::kDeadlineExceeded) {
           // The watchdog already ate the whole budget; neither a retry nor a
@@ -241,9 +252,9 @@ void Engine::optimize_clip(const geom::Layout& clip, double clip_deadline_s,
 
 bool Engine::attempt_ilt(BatchStage stage, const geom::Grid& target,
                          double accept_l2, double remaining_s, int attempt,
-                         BatchClipResult& res, Status& last,
-                         geom::Grid* mask_out) const {
+                         bool want_mask, MaskResult& out, Status& last) const {
   GANOPC_OBS_SPAN("batch.attempt_ilt");
+  BatchClipResult& res = out.row;
   ilt::IltConfig icfg = config_.ilt;
   if (std::isfinite(remaining_s))
     icfg.deadline_s =
@@ -254,8 +265,10 @@ bool Engine::attempt_ilt(BatchStage stage, const geom::Grid& target,
   icfg.workspace = &ilt_workspace_;
   const ilt::IltEngine engine(sim_, icfg);
 
+  const WallTimer gen_timer;
   geom::Grid init =
       stage == BatchStage::GanIlt ? gan_initial_mask(target) : target;
+  const double generator_s = stage == BatchStage::GanIlt ? gen_timer.seconds() : 0.0;
   if (attempt > 0) perturb(init, res.id, attempt);
 
   const ilt::IltResult r = engine.optimize(target, init);
@@ -270,7 +283,9 @@ bool Engine::attempt_ilt(BatchStage stage, const geom::Grid& target,
     return false;
   }
   if (std::isfinite(r.l2_px) && r.l2_px <= accept_l2) {
-    accept(stage, r.mask, r.l2_px, res, mask_out);
+    accept(stage, r.mask, r.l2_px, want_mask, out);
+    out.generator_s = generator_s;
+    out.ilt_s = r.runtime_s;
     return true;
   }
   if (r.termination == ilt::TerminationReason::kDeadlineExceeded) {
@@ -288,9 +303,9 @@ bool Engine::attempt_ilt(BatchStage stage, const geom::Grid& target,
 }
 
 bool Engine::attempt_mbopc(const geom::Layout& clip, double accept_l2,
-                           BatchClipResult& res, Status& last,
-                           geom::Grid* mask_out) const {
+                           bool want_mask, MaskResult& out, Status& last) const {
   GANOPC_OBS_SPAN("batch.attempt_mbopc");
+  const BatchClipResult& res = out.row;
   const mbopc::MbOpcEngine engine(sim_, mbopc::MbOpcConfig{});
   const mbopc::MbOpcResult r = engine.optimize(clip);
   if (!std::isfinite(r.l2_px)) {
@@ -299,7 +314,7 @@ bool Engine::attempt_mbopc(const geom::Layout& clip, double accept_l2,
     return false;
   }
   if (r.l2_px <= accept_l2) {
-    accept(BatchStage::MbOpc, r.mask, r.l2_px, res, mask_out);
+    accept(BatchStage::MbOpc, r.mask, r.l2_px, want_mask, out);
     return true;
   }
   last = Status(StatusCode::kIltStalled,
@@ -309,7 +324,8 @@ bool Engine::attempt_mbopc(const geom::Layout& clip, double accept_l2,
 }
 
 void Engine::accept(BatchStage stage, const geom::Grid& mask, double l2_px,
-                    BatchClipResult& res, geom::Grid* mask_out) const {
+                    bool want_mask, MaskResult& out) const {
+  BatchClipResult& res = out.row;
   res.code = StatusCode::kOk;
   res.error.clear();
   res.stage = stage;
@@ -318,7 +334,7 @@ void Engine::accept(BatchStage stage, const geom::Grid& mask, double l2_px,
       static_cast<double>(sim_.pixel_nm()) * static_cast<double>(sim_.pixel_nm());
   res.l2_nm2 = l2_px * px_area;
   res.pvb_nm2 = sim_.pv_band(mask).area_nm2;
-  if (mask_out != nullptr) *mask_out = mask;
+  if (want_mask) out.mask = mask;
 }
 
 geom::Grid Engine::gan_initial_mask(const geom::Grid& target) const {

@@ -22,7 +22,9 @@
 // by exponential backoff with deterministic jitter) and a per-clip wall-clock
 // deadline threaded into the ILT watchdog. Faults never escape submit(): a
 // corrupt clip file, a numeric fault, a blown deadline each land as a typed
-// Status on the returned row.
+// Status on the returned row. With fallback off, a submission runs exactly
+// the rung SubmitOptions::start_rung selects; that is how the Table 2 flows
+// (Figure 6 GAN+ILT, the ILT baseline of [7]) and `optimize --rung` run.
 //
 // An Engine is NOT thread-safe: submissions share the session workspace, so
 // callers serialize submit() (batch mode runs clips sequentially per process;
@@ -33,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.hpp"
 #include "common/timer.hpp"
@@ -64,6 +67,16 @@ struct SubmitPolicy {
   /// (deterministic jitter keyed on seed + clip id; see common/backoff).
   double retry_backoff_base_s = 0.025;
   double retry_backoff_cap_s = 1.0;
+
+  /// Exactly one solve on the start rung: no fallback, no perturbed
+  /// restarts, no acceptance gate — how Table 2 runs each flow.
+  static SubmitPolicy single_solve() {
+    SubmitPolicy p;
+    p.allow_fallback = false;
+    p.max_retries = 0;
+    p.l2_accept_factor = 0.0f;
+    return p;
+  }
 };
 
 /// Everything needed to open a session. `config` is validated on
@@ -87,9 +100,11 @@ struct SubmitOptions {
   /// serve request's remaining budget lands here and flows into the ILT
   /// watchdog unchanged.
   double deadline_s = -1.0;
-  /// Drops this many rungs off the front of the degradation chain (counted
-  /// as fallbacks) — supervised mode passes the clip's crash count so a clip
-  /// that killed a worker retries one rung more conservatively.
+  /// Enters the degradation chain at this rung (see Engine::rung_index; the
+  /// skipped rungs count as fallbacks). Applied before the no-fallback
+  /// truncation, so with `allow_fallback = false` exactly this rung runs.
+  /// Supervised mode adds the clip's crash count so a clip that killed a
+  /// worker retries one rung more conservatively; clamped to the last rung.
   int start_rung = 0;
   /// Also return the accepted mask pixels (empty on failure). Batch mode
   /// leaves this off — only metrics reach the manifest.
@@ -103,9 +118,14 @@ struct SubmitOptions {
 };
 
 /// What a submission returns: the manifest row plus (on request) the mask.
+/// The timings describe the accepted attempt only (0 for MB-OPC and on
+/// failure); they stay off the row so the journal and wire codecs do not
+/// carry them.
 struct MaskResult {
   BatchClipResult row;
-  geom::Grid mask;  ///< filled when SubmitOptions::want_mask and row.ok()
+  geom::Grid mask;           ///< filled when SubmitOptions::want_mask and row.ok()
+  double generator_s = 0.0;  ///< generator inference (GAN+ILT rung)
+  double ilt_s = 0.0;        ///< ILT refinement
 };
 
 class Engine {
@@ -128,6 +148,11 @@ class Engine {
   const SubmitPolicy& policy() const { return policy_; }
   const litho::LithoSim& sim() const { return sim_; }
   core::Generator* generator() const { return generator_; }
+  /// The start_rung that enters the chain at the rung named `name`
+  /// (batch_stage_name spelling: "gan+ilt", "ilt", "mbopc"). Throws
+  /// kInvalidInput when the session has no such rung, e.g. "gan+ilt" without
+  /// a generator.
+  int rung_index(const std::string& name) const;
   /// Stable backend display name ("abbe", "tcc", "tcc:<k>").
   const std::string& backend_name() const { return backend_name_; }
 
@@ -135,16 +160,15 @@ class Engine {
   static litho::LithoSim build_sim(const EngineOptions& options);
 
   void optimize_clip(const geom::Layout& clip, double deadline_s,
-                     BatchClipResult& res, const WallTimer& timer,
-                     int start_rung, geom::Grid* mask_out) const;
+                     const WallTimer& timer, int start_rung, bool want_mask,
+                     MaskResult& out) const;
   bool attempt_ilt(BatchStage stage, const geom::Grid& target, double accept_l2,
-                   double remaining_s, int attempt, BatchClipResult& res,
-                   Status& last, geom::Grid* mask_out) const;
-  bool attempt_mbopc(const geom::Layout& clip, double accept_l2,
-                     BatchClipResult& res, Status& last,
-                     geom::Grid* mask_out) const;
+                   double remaining_s, int attempt, bool want_mask,
+                   MaskResult& out, Status& last) const;
+  bool attempt_mbopc(const geom::Layout& clip, double accept_l2, bool want_mask,
+                     MaskResult& out, Status& last) const;
   void accept(BatchStage stage, const geom::Grid& mask, double l2_px,
-              BatchClipResult& res, geom::Grid* mask_out) const;
+              bool want_mask, MaskResult& out) const;
   geom::Grid gan_initial_mask(const geom::Grid& target) const;
   void perturb(geom::Grid& mask, const std::string& id, int attempt) const;
 
@@ -154,6 +178,9 @@ class Engine {
   litho::LithoSim sim_;
   std::unique_ptr<core::Generator> owned_generator_;
   core::Generator* generator_ = nullptr;
+  /// The degradation chain, first rung first:
+  /// [GAN+ILT when a generator is attached] -> ILT -> MB-OPC.
+  std::vector<BatchStage> rungs_;
   /// Session-persistent ILT scratch: buffers grow to the session geometry on
   /// the first submit and are reused verbatim afterwards — the engine
   /// contract test asserts `litho.workspace.grows` stays flat in steady

@@ -131,8 +131,7 @@ std::string format_seconds(double s) {
 
 Server::Server(const engine::Engine& engine, ServeConfig serve)
     : engine_(engine),
-      serve_(std::move(serve)),
-      has_generator_(engine.generator() != nullptr) {
+      serve_(std::move(serve)) {
   GANOPC_TYPED_CHECK(StatusCode::kInvalidInput, serve_.workers >= 1,
                      "serve: workers must be >= 1");
   GANOPC_TYPED_CHECK(StatusCode::kInvalidInput, serve_.max_queue >= 1,
@@ -209,12 +208,11 @@ std::string Server::worker_entry(const std::string& payload, int crashes) const 
     result.row.code = StatusCode::kDeadlineExceeded;
     result.row.error = "deadline expired before the request reached a worker";
   } else {
-    const int rungs = has_generator_ ? 3 : 2;
-    int start_rung = degraded ? rungs - 1 : 0;
-    start_rung = std::min(start_rung + crashes, rungs - 1);
+    // The breaker sends degraded requests straight to MB-OPC; each crash a
+    // request survives drops one more rung (the engine clamps at MB-OPC).
     engine::SubmitOptions opts;
     opts.deadline_s = remaining_s;
-    opts.start_rung = start_rung;
+    opts.start_rung = (degraded ? engine_.rung_index("mbopc") : 0) + crashes;
     opts.want_mask = want_mask;
     // Thread the proc-installed request context through SubmitOptions so
     // the engine's spans nest under the proc.task span.

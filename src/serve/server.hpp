@@ -151,7 +151,6 @@ class Server {
 
   const engine::Engine& engine_;
   ServeConfig serve_;
-  bool has_generator_ = false;
   std::unique_ptr<proc::Supervisor> supervisor_;
 
   int listen_fd_ = -1;

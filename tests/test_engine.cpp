@@ -1,15 +1,20 @@
 // Engine session contract (DESIGN.md §15): the embeddable libganopc entry
 // point behind `ganopc optimize`, batch, and serve.
 //
-// Two pins:
+// Three pins:
 //   - Front-end bit-identity: one long-lived Engine session submitting N
 //     clips produces byte-for-byte the same masks as N fresh one-shot
 //     `ganopc optimize` subprocess invocations (thread count pinned on both
-//     sides via GANOPC_THREADS).
+//     sides via GANOPC_THREADS), for the full chain and for each single rung
+//     that `optimize --rung` selects.
+//   - Rung selection: start_rung applies before the no-fallback truncation,
+//     so a no-fallback session runs exactly the rung it is pointed at.
 //   - Steady-state reuse: after a warm-up submission the session's FFT plan
 //     cache stops missing and the persistent ILT workspace stops growing —
 //     the observable proxy for "submit() allocates nothing at steady state".
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,11 +24,13 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/prng.hpp"
 #include "common/status.hpp"
 #include "core/config.hpp"
 #include "engine/clip_io.hpp"
 #include "engine/engine.hpp"
 #include "geometry/layout.hpp"
+#include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 
 #ifndef GANOPC_CLI_PATH
@@ -120,6 +127,74 @@ TEST_F(EngineTest, SessionMasksBitIdenticalToOneShotCliRuns) {
     EXPECT_EQ(cli_mask, session_masks[static_cast<std::size_t>(i)])
         << "clip" << i << ": session mask != one-shot CLI mask";
   }
+
+  // `optimize --rung NAME` against a no-fallback session entered at that
+  // rung. G is a seeded untrained generator: the session holds it in memory,
+  // the CLI loads the saved weights.
+  Prng rng(7);
+  core::Generator g(cfg.gan_grid, cfg.base_channels, rng);
+  const std::string weights = path("g.bin");
+  nn::save_parameters(g.net(), weights);
+  options.generator = &g;
+  options.policy = SubmitPolicy::single_solve();
+  const Engine rung_eng(options);
+  for (const std::string rung : {"gan+ilt", "ilt", "mbopc"}) {
+    BatchClip clip;
+    clip.id = "clip0";
+    clip.path = layout_paths[0];
+    SubmitOptions opts;
+    opts.want_mask = true;
+    opts.start_rung = rung_eng.rung_index(rung);
+    const MaskResult result = rung_eng.submit(clip, opts);
+    ASSERT_TRUE(result.row.ok()) << rung << ": " << result.row.error;
+    EXPECT_STREQ(batch_stage_name(result.row.stage), rung.c_str());
+
+    const std::string mask_out = path("cli_rung_mask.pgm");
+    std::filesystem::remove(mask_out);
+    const int rc = run_cli("optimize --layout " + layout_paths[0] +
+                           " --id clip0 --scale quick --grid 64 --iters 30" +
+                           " --rung " + rung + " --max-retries 0 --accept-factor 0" +
+                           (rung == "gan+ilt" ? " --generator " + weights : "") +
+                           " --mask-out " + mask_out);
+    ASSERT_EQ(rc, 0) << rung << ": " << read_bytes(path("stdout.txt"));
+    EXPECT_EQ(read_bytes(mask_out), encode_mask_pgm(result.mask))
+        << rung << ": session mask != `optimize --rung` mask";
+  }
+}
+
+TEST_F(EngineTest, NoFallbackSessionRunsExactlyTheStartRung) {
+  EngineOptions options;
+  options.config = make_cfg();
+  options.policy.allow_fallback = false;
+  options.policy.l2_accept_factor = 0.0f;
+  const Engine eng(options);
+  EXPECT_EQ(eng.rung_index("ilt"), 0);
+  EXPECT_EQ(eng.rung_index("mbopc"), 1);
+  EXPECT_THROW(eng.rung_index("failed"), StatusError);
+
+  BatchClip clip;
+  clip.id = "wire";
+  clip.layout = wire_clip(options.config.clip_nm, 0);
+  SubmitOptions opts;
+  opts.start_rung = 1;
+  const BatchClipResult row = eng.submit(clip, opts).row;
+  ASSERT_TRUE(row.ok()) << row.error;
+  EXPECT_EQ(row.stage, BatchStage::MbOpc);
+  EXPECT_EQ(row.fallbacks, 1);
+  EXPECT_EQ(row.ilt_iterations, 0);  // the ILT rung never ran
+}
+
+TEST_F(EngineTest, CliRungGanIltWithoutGeneratorIsTypedInvalidInput) {
+  const std::string clip_path = path("clip.txt");
+  wire_clip(make_cfg().clip_nm, 0).save(clip_path);
+  const int rc = run_cli("optimize --layout " + clip_path +
+                         " --scale quick --grid 64 --rung gan+ilt --mask-out " +
+                         path("never.pgm"));
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 1);
+  EXPECT_NE(read_bytes(path("stdout.txt")).find("InvalidInput"), std::string::npos)
+      << read_bytes(path("stdout.txt"));
+  EXPECT_FALSE(std::filesystem::exists(path("never.pgm")));
 }
 
 TEST_F(EngineTest, SteadyStateSubmissionsReusePlansAndWorkspaces) {

@@ -116,11 +116,13 @@ TEST_F(LedgerCrashTest, SigkillLeavesParseablePrefixAndResumeAppendsNewRun) {
 
 TEST_F(LedgerCrashTest, InjectedNanDumpsFlightRecorderCrashReport) {
   const std::string clips = make_clips(1);
-  // Persistent NaN in every litho gradient: ILT terminates Diverged on its
-  // first step and the watchdog path must dump the flight recorder.
-  const int rc = run_cli("ilt --layout " + path("clip0.txt") +
-                             " --grid 64 --iters 20 --out " + path("ilt") +
-                             " --ledger-out " + path("run.jsonl"),
+  // Persistent NaN in every litho gradient: a single plain-ILT solve
+  // terminates Diverged on its first step and the watchdog path must dump
+  // the flight recorder.
+  const int rc = run_cli("optimize --rung ilt --max-retries 0 --accept-factor 0"
+                         " --layout " + path("clip0.txt") +
+                             " --scale quick --grid 64 --iters 20 --mask-out " +
+                             path("ilt_mask.pgm") + " --ledger-out " + path("run.jsonl"),
                          "litho.gradient_nan:0:-1");
   ASSERT_TRUE(WIFEXITED(rc)) << read_bytes(path("stdout.txt"));
 

@@ -2,21 +2,16 @@
 //
 //   ganopc synth    [--count N] [--seed S] [--out PREFIX]
 //   ganopc sraf     --layout FILE [--out FILE]
-//   ganopc ilt      --layout FILE [--grid N] [--iters N] [--out PREFIX]
+//   ganopc eval     --layout FILE --mask FILE.pgm [--scale NAME] [--grid N]
 //                   [--litho-backend abbe|tcc|tcc:K]
-//   ganopc mbopc    --layout FILE [--grid N] [--iters N] [--out PREFIX]
-//                   [--litho-backend SPEC]
-//   ganopc eval     --layout FILE --mask FILE.pgm [--grid N]
-//                   [--litho-backend SPEC]
 //   ganopc train    [--scale NAME] [--dataset FILE] [--out FILE.bin]
 //                   [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
 //                   [--pretrain-iters N] [--train-iters N]
-//   ganopc flow     --layout FILE --generator FILE.bin [--scale NAME]
-//                   [--litho-backend SPEC]
 //   ganopc optimize --layout FILE [--id NAME] [--scale NAME] [--grid N]
 //                   [--iters N] [--generator FILE.bin] [--litho-backend SPEC]
-//                   [--deadline-s SEC] [--max-retries N] [--fallback 0|1]
-//                   [--accept-factor F] [--seed S] [--mask-out FILE.pgm]
+//                   [--rung gan+ilt|ilt|mbopc] [--deadline-s SEC]
+//                   [--max-retries N] [--fallback 0|1] [--accept-factor F]
+//                   [--seed S] [--mask-out FILE.pgm]
 //   ganopc batch    (--list FILE | --clips A,B,...) [--scale NAME] [--grid N]
 //                   [--iters N] [--generator FILE.bin] [--journal FILE]
 //                   [--resume FILE] [--manifest FILE.csv] [--deadline-s SEC]
@@ -46,8 +41,12 @@
 //
 // `optimize`, `batch` and `serve` all route through the same
 // ganopc::engine::Engine session (DESIGN.md §15), so one clip produces
-// bit-identical results no matter which front-end carried it in. The litho
-// model behind any command is chosen with --litho-backend (DESIGN.md §15):
+// bit-identical results no matter which front-end carried it in; `eval`
+// scores a mask with that session's simulator. `optimize --rung NAME` runs
+// exactly one rung of the degradation chain (it implies --fallback 0): the
+// Figure 6 GAN-OPC flow is `--rung gan+ilt --generator FILE.bin`, plain ILT
+// [7] is `--rung ilt --max-retries 0 --accept-factor 0`. The litho model
+// behind any command is chosen with --litho-backend (DESIGN.md §15):
 //   abbe    exact Abbe source-point kernels (the default, the reference)
 //   tcc     TCC eigen-kernels auto-truncated at >= 99% captured energy
 //   tcc:K   exactly K TCC eigen-kernels (caller owns the accuracy trade-off)
@@ -78,25 +77,21 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/image_io.hpp"
 #include "common/prng.hpp"
 #include "common/status.hpp"
 #include "common/version.hpp"
 #include "core/config.hpp"
 #include "core/dataset.hpp"
 #include "core/discriminator.hpp"
-#include "core/flow.hpp"
 #include "core/generator.hpp"
 #include "core/trainer.hpp"
 #include "engine/batch_runner.hpp"
 #include "engine/clip_io.hpp"
 #include "engine/engine.hpp"
 #include "geometry/raster.hpp"
-#include "ilt/ilt.hpp"
 #include "layout/synthesizer.hpp"
 #include "litho/backend.hpp"
 #include "litho/lithosim.hpp"
-#include "mbopc/mbopc.hpp"
 #include "metrics/printability.hpp"
 #include "gds/gds.hpp"
 #include "nn/serialize.hpp"
@@ -163,24 +158,6 @@ geom::Layout load_layout(const Args& args, const std::string& key = "layout") {
       static_cast<std::int16_t>(args.get_int("layer", 1)));
 }
 
-litho::LithoBackendSpec backend_spec(const Args& args) {
-  return litho::parse_litho_backend(args.get("litho-backend", "abbe"));
-}
-
-// Standalone simulator for the direct commands (ilt/mbopc/eval), built
-// through the same pluggable backend the Engine uses.
-litho::LithoSim make_sim(const geom::Layout& clip, int grid, const Args& args) {
-  GANOPC_CHECK_MSG(clip.clip().width() == clip.clip().height(),
-                   "clip window must be square");
-  GANOPC_CHECK_MSG(clip.clip().width() % grid == 0,
-                   "grid " << grid << " does not divide the clip extent");
-  litho::OpticsConfig optics;
-  return litho::LithoSim(
-      litho::make_litho_backend(backend_spec(args))
-          ->build(optics, grid, clip.clip().width() / grid),
-      litho::ResistConfig{});
-}
-
 void dump(const geom::Grid& g, const std::string& name) {
   engine::write_mask_pgm(name, g);
   std::printf("wrote %s (%dx%d @%dnm)\n", name.c_str(), g.cols, g.rows, g.pixel_nm);
@@ -208,51 +185,6 @@ int cmd_sraf(const Args& args) {
   const std::string out = args.get("out", "decorated.txt");
   result.decorated.save(out);
   std::printf("inserted %zu scatter bars; wrote %s\n", result.bars.size(), out.c_str());
-  return 0;
-}
-
-int cmd_ilt(const Args& args) {
-  const geom::Layout clip = load_layout(args);
-  const litho::LithoSim sim = make_sim(clip, args.get_int("grid", 256), args);
-  const geom::Grid target = geom::rasterize(clip, sim.pixel_nm(), /*threshold=*/true);
-  ilt::IltConfig cfg;
-  cfg.max_iterations = args.get_int("iters", 200);
-  const ilt::IltEngine engine(sim, cfg);
-  const ilt::IltResult result = engine.optimize(target);
-  std::printf("ILT: %d iterations, %.2fs, hard L2 %.0f px (%.0f nm^2)\n",
-              result.iterations, result.runtime_s, result.l2_px,
-              result.l2_px * sim.pixel_nm() * sim.pixel_nm());
-  const std::string prefix = args.get("out", "ilt");
-  dump(target, prefix + "_target.pgm");
-  dump(result.mask, prefix + "_mask.pgm");
-  dump(sim.simulate(result.mask), prefix + "_wafer.pgm");
-  return 0;
-}
-
-int cmd_mbopc(const Args& args) {
-  const geom::Layout clip = load_layout(args);
-  const litho::LithoSim sim = make_sim(clip, args.get_int("grid", 256), args);
-  mbopc::MbOpcConfig cfg;
-  cfg.max_iterations = args.get_int("iters", 12);
-  const mbopc::MbOpcEngine engine(sim, cfg);
-  const mbopc::MbOpcResult result = engine.optimize(clip);
-  std::printf("MB-OPC: %d iterations (%s), max |EPE| %dnm, L2 %.0f px\n",
-              result.iterations, result.converged ? "converged" : "budget exhausted",
-              result.max_epe_nm, result.l2_px);
-  const std::string prefix = args.get("out", "mbopc");
-  dump(result.mask, prefix + "_mask.pgm");
-  dump(sim.simulate(result.mask), prefix + "_wafer.pgm");
-  return 0;
-}
-
-int cmd_eval(const Args& args) {
-  const geom::Layout clip = load_layout(args);
-  const litho::LithoSim sim = make_sim(clip, args.get_int("grid", 256), args);
-  const geom::Grid target = geom::rasterize(clip, sim.pixel_nm(), /*threshold=*/true);
-  const geom::Grid mask =
-      engine::load_mask_pgm(args.require("mask"), sim.grid_size(), sim.pixel_nm());
-  const auto report = metrics::evaluate_printability(sim, mask, clip, target);
-  std::printf("%s\n", report.str().c_str());
   return 0;
 }
 
@@ -339,30 +271,8 @@ int cmd_train(const Args& args) {
 
   const std::string out = args.get("out", "pgan_generator.bin");
   nn::save_parameters(generator.net(), out);
-  std::printf("saved %s — load it with `ganopc flow --generator %s`\n", out.c_str(),
-              out.c_str());
-  return 0;
-}
-
-int cmd_flow(const Args& args) {
-  const geom::Layout clip = load_layout(args);
-  core::GanOpcConfig cfg = core::make_config(core::parse_scale(args.get("scale", "quick")));
-  GANOPC_CHECK_MSG(clip.clip().width() == cfg.clip_nm,
-                   "layout clip must be " << cfg.clip_nm << "nm for scale "
-                                          << args.get("scale", "quick"));
-  const litho::LithoSim sim(
-      litho::make_litho_backend(backend_spec(args))
-          ->build(cfg.optics, cfg.litho_grid, cfg.litho_pixel_nm()),
-      litho::ResistConfig{});
-  Prng rng(cfg.seed);
-  core::Generator generator(cfg.gan_grid, cfg.base_channels, rng);
-  nn::load_parameters(generator.net(), args.require("generator"));
-  const core::GanOpcFlow flow(cfg, &generator, sim);
-  const core::FlowResult result = flow.run(clip);
-  std::printf("GAN-OPC flow: L2 %.0f nm^2, PVB %ld nm^2, %.2fs (%d ILT iters)\n",
-              result.l2_nm2, static_cast<long>(result.pvb_nm2), result.total_seconds(),
-              result.ilt_iterations);
-  dump(result.mask, args.get("out", "flow") + "_mask.pgm");
+  std::printf("saved %s — run it with `ganopc optimize --rung gan+ilt --generator %s`\n",
+              out.c_str(), out.c_str());
   return 0;
 }
 
@@ -390,7 +300,7 @@ engine::EngineOptions engine_options_from_args(const Args& args) {
   opts.config.litho_grid = args.get_int("grid", opts.config.litho_grid);
   opts.config.ilt.max_iterations =
       args.get_int("iters", opts.config.ilt.max_iterations);
-  opts.backend = backend_spec(args);
+  opts.backend = litho::parse_litho_backend(args.get("litho-backend", "abbe"));
   opts.generator_path = args.get("generator", "");
   engine::SubmitPolicy& policy = opts.policy;
   policy.clip_deadline_s = args.get_double("deadline-s", 0.0);
@@ -406,15 +316,21 @@ engine::EngineOptions engine_options_from_args(const Args& args) {
 
 // One-shot mask optimization through the Engine session — exactly the
 // degradation chain a batch clip or serve request walks, so its mask bytes
-// are the contract the engine test pins against the embedded API. Exit 0
-// when the mask was accepted, 3 when the clip failed (typed code printed).
+// are the contract the engine test pins against the embedded API. --rung
+// enters the chain at the named rung and turns fallback off, so exactly that
+// rung runs. Exit 0 when the mask was accepted, 3 when the clip failed
+// (typed code printed).
 int cmd_optimize(const Args& args) {
-  const engine::Engine eng(engine_options_from_args(args));
+  engine::EngineOptions eopts = engine_options_from_args(args);
+  const std::string rung = args.get("rung", "");
+  if (!rung.empty()) eopts.policy.allow_fallback = false;
+  const engine::Engine eng(eopts);
   engine::BatchClip clip;
   clip.path = args.require("layout");
   clip.id = args.get("id", "clip");
   engine::SubmitOptions opts;
   opts.want_mask = true;
+  if (!rung.empty()) opts.start_rung = eng.rung_index(rung);
   // Observability parity with serve (DESIGN.md §16): the one-shot path mints
   // the same trace root and request_start/request_end ledger events a daemon
   // request gets, so a clip traced via `optimize --trace-out` and one traced
@@ -458,9 +374,25 @@ int cmd_optimize(const Args& args) {
               row.retries > 0 ? " (retried)" : "", row.l2_nm2,
               static_cast<long>(row.pvb_nm2), row.ilt_iterations,
               eng.backend_name().c_str());
-  const std::string out =
-      args.get("mask-out", args.get("out", "optimize") + "_mask.pgm");
-  dump(result.mask, out);
+  dump(result.mask, args.get("mask-out", "optimize_mask.pgm"));
+  return 0;
+}
+
+// Printability report for an externally produced mask, scored by the same
+// session simulator `optimize` uses, so its grid follows --scale/--grid.
+int cmd_eval(const Args& args) {
+  const engine::Engine eng(engine_options_from_args(args));
+  const litho::LithoSim& sim = eng.sim();
+  const geom::Layout clip = load_layout(args);
+  const std::int32_t clip_nm = eng.config().clip_nm;
+  GANOPC_TYPED_CHECK(StatusCode::kInvalidInput,
+                     clip.clip().width() == clip_nm && clip.clip().height() == clip_nm,
+                     "clip window must be " << clip_nm << "x" << clip_nm << " nm");
+  const geom::Grid target = geom::rasterize(clip, sim.pixel_nm(), /*threshold=*/true);
+  const geom::Grid mask =
+      engine::load_mask_pgm(args.require("mask"), sim.grid_size(), sim.pixel_nm());
+  const auto report = metrics::evaluate_printability(sim, mask, clip, target);
+  std::printf("%s\n", report.str().c_str());
   return 0;
 }
 
@@ -607,11 +539,13 @@ int cmd_gds2txt(const Args& args) {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: ganopc <synth|sraf|ilt|mbopc|eval|train|flow|optimize|batch|serve> [--flag value ...]\n"
+               "usage: ganopc <synth|sraf|eval|train|optimize|batch|serve|txt2gds|gds2txt>\n"
+               "              [--flag value ...]\n"
                "global flags: --metrics-out FILE (Prometheus text, or JSON when\n"
                "FILE ends in .json), --trace-out FILE (chrome://tracing JSON)\n"
                "and --ledger-out FILE (JSONL run ledger + flight recorder);\n"
-               "litho commands accept --litho-backend abbe|tcc|tcc:K\n"
+               "litho commands accept --litho-backend abbe|tcc|tcc:K;\n"
+               "optimize --rung gan+ilt|ilt|mbopc runs exactly one rung\n"
                "see tools/cli.cpp header for per-command flags\n");
 }
 
@@ -709,11 +643,8 @@ class LedgerSink {
 int dispatch(const std::string& cmd, const Args& args) {
   if (cmd == "synth") return cmd_synth(args);
   if (cmd == "sraf") return cmd_sraf(args);
-  if (cmd == "ilt") return cmd_ilt(args);
-  if (cmd == "mbopc") return cmd_mbopc(args);
   if (cmd == "eval") return cmd_eval(args);
   if (cmd == "train") return cmd_train(args);
-  if (cmd == "flow") return cmd_flow(args);
   if (cmd == "optimize") return cmd_optimize(args);
   if (cmd == "batch") return cmd_batch(args);
   if (cmd == "serve") return cmd_serve(args);

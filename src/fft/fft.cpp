@@ -1,5 +1,6 @@
 #include "fft/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/cpu.hpp"
@@ -197,17 +198,29 @@ void fftshift_2d(std::vector<cfloat>& data, std::size_t height, std::size_t widt
 std::vector<float> fourier_upsample_2d(const std::vector<float>& in, std::size_t height,
                                        std::size_t width, std::size_t factor) {
   GANOPC_CHECK(in.size() == height * width);
+  std::vector<float> out(in.size() * factor * factor);
+  std::vector<cfloat> small_spec(in.size()), big_spec(out.size());
+  fourier_upsample_into(in.data(), height, width, factor, small_spec.data(),
+                        big_spec.data(), out.data());
+  return out;
+}
+
+void fourier_upsample_into(const float* in, std::size_t height, std::size_t width,
+                           std::size_t factor, cfloat* small_spec, cfloat* big_spec,
+                           float* out) {
   GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "dims must be powers of two");
   GANOPC_CHECK(factor >= 1 && is_pow2(factor));
-  if (factor == 1) return in;
+  if (factor == 1) {
+    std::copy(in, in + height * width, out);
+    return;
+  }
   const std::size_t oh = height * factor, ow = width * factor;
 
-  std::vector<cfloat> spec(height * width);
-  rfft_2d(in.data(), spec.data(), height, width);
+  rfft_2d(in, small_spec, height, width);
   // Place the low-frequency quadrants of the small spectrum into the corners
   // of the large spectrum. The input Nyquist rows/columns are split evenly
   // between their +/- images to keep the interpolant real and symmetric.
-  std::vector<cfloat> big(oh * ow, {0.0f, 0.0f});
+  std::fill(big_spec, big_spec + oh * ow, cfloat(0.0f, 0.0f));
   const std::size_t hh = height / 2, hw = width / 2;
   for (std::size_t r = 0; r < height; ++r) {
     const bool r_nyq = (r == hh);
@@ -215,23 +228,21 @@ std::vector<float> fourier_upsample_2d(const std::vector<float>& in, std::size_t
     for (std::size_t c = 0; c < width; ++c) {
       const bool c_nyq = (c == hw);
       const std::size_t co = c <= hw ? c : ow - (width - c);
-      cfloat v = spec[r * width + c];
+      cfloat v = small_spec[r * width + c];
       if (r_nyq) v *= 0.5f;
       if (c_nyq) v *= 0.5f;
-      big[ro * ow + co] += v;
+      big_spec[ro * ow + co] += v;
       // Mirror copies for split Nyquist bins.
-      if (r_nyq) big[(oh - hh) * ow + co] += v;
-      if (c_nyq) big[ro * ow + (ow - hw)] += v;
-      if (r_nyq && c_nyq) big[(oh - hh) * ow + (ow - hw)] += v;
+      if (r_nyq) big_spec[(oh - hh) * ow + co] += v;
+      if (c_nyq) big_spec[ro * ow + (ow - hw)] += v;
+      if (r_nyq && c_nyq) big_spec[(oh - hh) * ow + (ow - hw)] += v;
     }
   }
   // The padded spectrum is Hermitian by construction, so the inverse runs
   // through the half-cost real-output path.
-  std::vector<float> out(oh * ow);
-  irfft_2d(big.data(), out.data(), oh, ow);
+  irfft_2d(big_spec, out, oh, ow);
   const auto scale = static_cast<float>(factor) * factor;  // FFT normalization
-  for (auto& v : out) v *= scale;
-  return out;
+  for (std::size_t i = 0; i < oh * ow; ++i) out[i] *= scale;
 }
 
 std::vector<float> circular_convolve_2d(const std::vector<float>& a,

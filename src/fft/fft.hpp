@@ -58,6 +58,13 @@ void fftshift_2d(std::vector<cfloat>& data, std::size_t height, std::size_t widt
 std::vector<float> fourier_upsample_2d(const std::vector<float>& in, std::size_t height,
                                        std::size_t width, std::size_t factor);
 
+/// fourier_upsample_2d into caller-owned buffers, allocating nothing:
+/// `small_spec` holds height*width bins, `big_spec` and `out` hold
+/// (height*factor)*(width*factor) values. Both spectra are clobbered.
+void fourier_upsample_into(const float* in, std::size_t height, std::size_t width,
+                           std::size_t factor, cfloat* small_spec, cfloat* big_spec,
+                           float* out);
+
 /// Circular (periodic) 2-D convolution of two same-size real grids via FFT:
 /// out[p] = sum_q a[q] * b[p - q mod N]. Grids are height x width row-major.
 std::vector<float> circular_convolve_2d(const std::vector<float>& a,

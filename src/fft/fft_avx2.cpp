@@ -176,23 +176,22 @@ void norm_weighted_accum_avx2(const cfloat* f, double w, double* acc, std::size_
   for (; i < n; ++i) acc[i] += w * std::norm(f[i]);
 }
 
-void real_weighted_accum_avx2(const cfloat* f, double w, double* acc, std::size_t n) {
-  const auto* ff = reinterpret_cast<const float*>(f);
-  const __m256d wv = _mm256_set1_pd(w);
+void cmul_weighted_accum_avx2(const cfloat* a, const cfloat* b, float w, cfloat* acc,
+                              std::size_t n) {
+  const auto* af = reinterpret_cast<const float*>(a);
+  const auto* bf = reinterpret_cast<const float*>(b);
+  auto* accf = reinterpret_cast<float*>(acc);
+  const __m256 wv = _mm256_set1_ps(w);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256 v = _mm256_loadu_ps(ff + 2 * i);  // r0 i0 r1 i1 | r2 i2 r3 i3
-    const __m128 lo = _mm256_castps256_ps128(v);
-    const __m128 hi = _mm256_extractf128_ps(v, 1);
-    const __m128 reals = _mm_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0));
-    const __m256d rd = _mm256_cvtps_pd(reals);
-    _mm256_storeu_pd(acc + i, _mm256_fmadd_pd(wv, rd, _mm256_loadu_pd(acc + i)));
+    const __m256 p = cmul4(_mm256_loadu_ps(af + 2 * i), _mm256_loadu_ps(bf + 2 * i));
+    _mm256_storeu_ps(accf + 2 * i, _mm256_fmadd_ps(wv, p, _mm256_loadu_ps(accf + 2 * i)));
   }
-  for (; i < n; ++i) acc[i] += w * f[i].real();
+  for (; i < n; ++i) acc[i] += w * (a[i] * b[i]);
 }
 
 constexpr VecOps kAvx2Ops = {cmul_avx2, cmul_conj_real_avx2, norm_weighted_accum_avx2,
-                             real_weighted_accum_avx2};
+                             cmul_weighted_accum_avx2};
 
 }  // namespace
 

@@ -44,12 +44,13 @@ void norm_weighted_accum_scalar(const cfloat* f, double w, double* acc, std::siz
   for (std::size_t i = 0; i < n; ++i) acc[i] += w * std::norm(f[i]);
 }
 
-void real_weighted_accum_scalar(const cfloat* f, double w, double* acc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += w * f[i].real();
+void cmul_weighted_accum_scalar(const cfloat* a, const cfloat* b, float w, cfloat* acc,
+                                std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) acc[i] += w * (a[i] * b[i]);
 }
 
 constexpr VecOps kScalarOps = {cmul_scalar, cmul_conj_real_scalar,
-                               norm_weighted_accum_scalar, real_weighted_accum_scalar};
+                               norm_weighted_accum_scalar, cmul_weighted_accum_scalar};
 
 }  // namespace
 

@@ -41,8 +41,9 @@ struct VecOps {
   void (*cmul_conj_real)(const float* x, const cfloat* a, cfloat* out, std::size_t n);
   /// acc[i] += w * |f[i]|^2       (norm computed in float, accumulated in double)
   void (*norm_weighted_accum)(const cfloat* f, double w, double* acc, std::size_t n);
-  /// acc[i] += w * Re(f[i])
-  void (*real_weighted_accum)(const cfloat* f, double w, double* acc, std::size_t n);
+  /// acc[i] += w * (a[i] * b[i])  — the adjoint's per-kernel spectrum sum
+  void (*cmul_weighted_accum)(const cfloat* a, const cfloat* b, float w, cfloat* acc,
+                              std::size_t n);
 };
 
 /// Kernel table for an explicit arm — the conformance tier's entry point.

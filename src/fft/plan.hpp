@@ -1,7 +1,7 @@
 // FFT execution plans: per-size twiddle-factor and bit-reversal tables.
 //
-// The lithography hot path runs thousands of same-size transforms (1 mask FFT
-// + N_h kernel IFFTs per aerial image, twice that per gradient). Recomputing
+// The lithography hot path runs thousands of same-size transforms (N_h
+// band-grid IFFTs per aerial image, about twice that per gradient). Recomputing
 // sin/cos per stage and chaining w *= wlen per butterfly costs time and
 // accumulates rounding error; a plan computes each table once per size and is
 // shared by every transform of that size for the lifetime of the process.

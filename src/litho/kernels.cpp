@@ -1,5 +1,6 @@
 #include "litho/kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -9,10 +10,11 @@ namespace ganopc::litho {
 
 namespace {
 
+using cfloat = std::complex<float>;
+
 // Flipped kernel: value at (-f) mod N per axis.
-std::vector<std::complex<float>> flip_freq(const std::vector<std::complex<float>>& hat,
-                                           std::int32_t grid) {
-  std::vector<std::complex<float>> flipped(hat.size());
+std::vector<cfloat> flip_freq(const std::vector<cfloat>& hat, std::int32_t grid) {
+  std::vector<cfloat> flipped(hat.size());
   for (std::int32_t r = 0; r < grid; ++r) {
     const std::int32_t nr = (grid - r) % grid;
     for (std::int32_t c = 0; c < grid; ++c) {
@@ -24,7 +26,57 @@ std::vector<std::complex<float>> flip_freq(const std::vector<std::complex<float>
   return flipped;
 }
 
+// Signed frequency of unshifted index i on an n-point axis.
+std::int32_t signed_freq(std::int32_t i, std::int32_t n) { return i <= n / 2 ? i : i - n; }
+
 }  // namespace
+
+void SocsKernels::build_band_tables() {
+  const std::int32_t n = grid_;
+  // w: the widest per-axis box spanned by the nonzero bins of any one kernel;
+  // reach: the largest |signed frequency| of any nonzero bin.
+  std::int32_t w = 1, reach = 0;
+  for (const auto& hat : freq_kernels_) {
+    std::int32_t lo_r = n, hi_r = -n, lo_c = n, hi_c = -n;
+    for (std::int32_t r = 0; r < n; ++r)
+      for (std::int32_t c = 0; c < n; ++c) {
+        if (hat[static_cast<std::size_t>(r) * n + c] == cfloat{}) continue;
+        const std::int32_t fr = signed_freq(r, n), fc = signed_freq(c, n);
+        lo_r = std::min(lo_r, fr);
+        hi_r = std::max(hi_r, fr);
+        lo_c = std::min(lo_c, fc);
+        hi_c = std::max(hi_c, fc);
+      }
+    if (lo_r > hi_r) continue;  // an all-zero kernel constrains nothing
+    w = std::max({w, hi_r - lo_r + 1, hi_c - lo_c + 1});
+    reach = std::max({reach, -lo_r, hi_r, -lo_c, hi_c});
+  }
+  // |A_k|^2 and the adjoint products span 2w - 1 bins; M >= 2w holds them
+  // without aliasing and leaves the band Nyquist line empty.
+  band_ = static_cast<std::int32_t>(
+      std::min<std::size_t>(static_cast<std::size_t>(n),
+                            fft::next_pow2(2 * static_cast<std::size_t>(w))));
+  if (band_ == n) {
+    for (const auto& hat : freq_kernels_) band_flipped_.push_back(flip_freq(hat, n));
+    return;
+  }
+  GANOPC_CHECK_MSG(reach < band_ / 2, "kernel spectrum reaches frequency bin "
+                                          << reach << ", outside the " << band_
+                                          << "-point band window");
+  const std::int32_t m = band_;
+  for (const auto& hat : freq_kernels_) {
+    std::vector<cfloat> band(static_cast<std::size_t>(m) * m);
+    for (std::int32_t r = 0; r < m; ++r) {
+      const std::int32_t sr = (signed_freq(r, m) + n) % n;
+      for (std::int32_t c = 0; c < m; ++c) {
+        const std::int32_t sc = (signed_freq(c, m) + n) % n;
+        band[static_cast<std::size_t>(r) * m + c] = hat[static_cast<std::size_t>(sr) * n + sc];
+      }
+    }
+    band_flipped_.push_back(flip_freq(band, m));
+    band_kernels_.push_back(std::move(band));
+  }
+}
 
 void SocsKernels::validate_geometry() const {
   GANOPC_CHECK_MSG(config_.valid(), "invalid optics configuration");
@@ -52,7 +104,6 @@ void SocsKernels::adopt(TccKernelSet set) {
                      "kernel weights must be finite and nonnegative");
     GANOPC_CHECK_MSG(k == 0 || set.weights[k] <= set.weights[k - 1],
                      "kernel weights must be nonincreasing");
-    freq_kernels_flipped_.push_back(flip_freq(set.kernels_hat[k], grid_));
     freq_kernels_.push_back(std::move(set.kernels_hat[k]));
     weights_.push_back(set.weights[k]);
   }
@@ -67,6 +118,7 @@ SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
     : config_(config), grid_(grid_size), pixel_nm_(pixel_nm) {
   validate_geometry();
   adopt(std::move(set));
+  build_band_tables();
 }
 
 SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
@@ -81,10 +133,9 @@ SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
   const double lambda = config.wavelength_nm;
 
   freq_kernels_.reserve(points.size());
-  freq_kernels_flipped_.reserve(points.size());
   weights_.reserve(points.size());
   for (const auto& p : points) {
-    std::vector<std::complex<float>> hat(n, {0.0f, 0.0f});
+    std::vector<cfloat> hat(n, {0.0f, 0.0f});
     for (std::int32_t r = 0; r < grid_; ++r) {
       const std::int32_t rr = r <= grid_ / 2 ? r : r - grid_;  // wrapped index
       const double fy = rr * df;
@@ -106,21 +157,30 @@ SocsKernels::SocsKernels(const OpticsConfig& config, std::int32_t grid_size,
         }
       }
     }
-    freq_kernels_flipped_.push_back(flip_freq(hat, grid_));
     freq_kernels_.push_back(std::move(hat));
     weights_.push_back(static_cast<float>(p.weight));
   }
+  build_band_tables();
 }
 
-const std::vector<std::complex<float>>& SocsKernels::freq_kernel(int k) const {
+const std::vector<cfloat>& SocsKernels::freq_kernel(int k) const {
   return freq_kernels_.at(static_cast<std::size_t>(k));
 }
 
-const std::vector<std::complex<float>>& SocsKernels::freq_kernel_flipped(int k) const {
-  return freq_kernels_flipped_.at(static_cast<std::size_t>(k));
+std::vector<cfloat> SocsKernels::freq_kernel_flipped(int k) const {
+  return flip_freq(freq_kernel(k), grid_);
 }
 
-std::vector<std::complex<float>> SocsKernels::spatial_kernel(int k) const {
+const std::vector<cfloat>& SocsKernels::band_kernel(int k) const {
+  return band_kernels_.empty() ? freq_kernel(k)
+                               : band_kernels_.at(static_cast<std::size_t>(k));
+}
+
+const std::vector<cfloat>& SocsKernels::band_kernel_flipped(int k) const {
+  return band_flipped_.at(static_cast<std::size_t>(k));
+}
+
+std::vector<cfloat> SocsKernels::spatial_kernel(int k) const {
   auto spatial = freq_kernels_.at(static_cast<std::size_t>(k));
   fft::fft_2d(spatial, static_cast<std::size_t>(grid_), static_cast<std::size_t>(grid_),
               /*inverse=*/true);

@@ -5,8 +5,14 @@
 // multiplies, and num_kernels inverse FFTs:
 //   A_k = IFFT( H_k_hat .* FFT(M) ),   I = sum_k w_k |A_k|^2.
 // Each H_k_hat is a pupil disk shifted by its Abbe source point, with an
-// optional paraxial defocus phase. Flipped kernels H_k_hat(-f) are
-// precomputed for the ILT gradient (Eq. 14).
+// optional paraxial defocus phase.
+//
+// The optics are band-limited, so the hot paths do not run on the full
+// N x N grid: every kernel spectrum fits in a per-axis box of w bins, hence
+// A_k, |A_k|^2 and every adjoint term of Eq. (14) are represented exactly on
+// the M x M band grid with M = min(N, smallest power of two >= 2w)
+// (DESIGN.md §7). The set keeps band copies of H_k_hat and of the flipped
+// H_k_hat(-f) the gradient needs; at M = N they are the full tables.
 #pragma once
 
 #include <complex>
@@ -48,7 +54,22 @@ class SocsKernels {
 
   /// Frequency-domain kernel evaluated at negated frequencies,
   /// H_k_hat[(-f) mod N] — the transfer function of the flipped kernel.
-  const std::vector<std::complex<float>>& freq_kernel_flipped(int k) const;
+  /// Derived on demand (full grid, not stored); the adjoint pass reads
+  /// band_kernel_flipped.
+  std::vector<std::complex<float>> freq_kernel_flipped(int k) const;
+
+  /// Side M of the band grid the SOCS forward and adjoint passes run on: the
+  /// smallest power of two >= 2w (w = the widest per-axis support box of any
+  /// kernel spectrum), capped at grid_size(). Below grid_size(), every
+  /// nonzero kernel bin lies strictly inside the signed window (-M/2, M/2).
+  std::int32_t band_grid() const { return band_; }
+
+  /// Kernel k on the band grid: band_grid()^2 values, unshifted layout of the
+  /// signed window. Is freq_kernel(k) when band_grid() == grid_size().
+  const std::vector<std::complex<float>>& band_kernel(int k) const;
+
+  /// band_kernel(k) at negated frequencies.
+  const std::vector<std::complex<float>>& band_kernel_flipped(int k) const;
 
   float weight(int k) const { return weights_.at(static_cast<std::size_t>(k)); }
 
@@ -59,14 +80,18 @@ class SocsKernels {
  private:
   void validate_geometry() const;
   void adopt(TccKernelSet set);
+  void build_band_tables();
 
   OpticsConfig config_;
   std::int32_t grid_;
   std::int32_t pixel_nm_;
   double captured_energy_ = 1.0;
   std::vector<float> weights_;
+  std::int32_t band_ = 0;
   std::vector<std::vector<std::complex<float>>> freq_kernels_;
-  std::vector<std::vector<std::complex<float>>> freq_kernels_flipped_;
+  /// Band copies of freq_kernels_; empty when band_ == grid_.
+  std::vector<std::vector<std::complex<float>>> band_kernels_;
+  std::vector<std::vector<std::complex<float>>> band_flipped_;
 };
 
 }  // namespace ganopc::litho

@@ -38,24 +38,75 @@ void reshape_like(geom::Grid& g, std::int32_t n, std::int32_t pixel_nm,
   g.data.resize(static_cast<std::size_t>(n) * n);
 }
 
-// The one SOCS forward implementation (Eq. 2): mask FFT, per-kernel coherent
-// fields A_k = IFFT(H_k_hat .* mask_hat) parallelized over kernels, then the
-// intensity I = sum_k w_k |A_k|^2 reduced per pixel in ascending-k order.
-// Blocks only partition pixels/kernels — every thread count produces
-// bit-identical output. Shared by LithoSim::aerial_into, the gradient's
-// forward pass and threshold calibration, so tests cover one implementation.
+// Index i of an m-point unshifted axis mapped to the bin of the same signed
+// frequency on an n-point axis (m <= n; the band Nyquist i = m/2 maps to -m/2).
+inline std::size_t band_to_full(std::size_t i, std::size_t m, std::size_t n) {
+  return i < m / 2 ? i : i + n - m;
+}
+
+// Low-pass an n x n spectrum onto the m x m band grid: copy the signed window
+// (-m/2, m/2) per axis, scaled by (m/n)^2 so the band-grid inverse transform
+// samples the same band-limited signal. The band Nyquist row and column are
+// zeroed, so a Hermitian input stays Hermitian (its signal stays real).
+void crop_spectrum(const cfloat* full, std::size_t n, cfloat* band, std::size_t m) {
+  const float scale = static_cast<float>(m * m) / static_cast<float>(n * n);
+  for (std::size_t r = 0; r < m; ++r) {
+    const cfloat* src = full + band_to_full(r, m, n) * n;
+    cfloat* dst = band + r * m;
+    for (std::size_t c = 0; c < m; ++c)
+      dst[c] = (r == m / 2 || c == m / 2) ? cfloat{} : scale * src[band_to_full(c, m, n)];
+  }
+}
+
+// full = scale * (P + conj(P(-f))) with P the zero-padding of the m x m band
+// spectrum `band` onto n x n. That is the Hermitian part of P, so
+// irfft_2d(full) = scale * 2 Re(IFFT_n(P)) at half the cost of a complex
+// inverse. Each +/-f pair is read before it is written, so at m == n `full`
+// may be `band` itself. Assumes the band Nyquist line is empty when m < n.
+void fold_pad_spectrum(const cfloat* band, std::size_t m, cfloat* full, std::size_t n,
+                       float scale) {
+  if (full != band) std::fill(full, full + n * n, cfloat{});
+  for (std::size_t r = 0; r < m; ++r) {
+    const std::size_t rm = (m - r) & (m - 1);
+    for (std::size_t c = 0; c < m; ++c) {
+      const std::size_t cm = (m - c) & (m - 1);
+      if (rm * m + cm < r * m + c) continue;  // pair already folded
+      const cfloat a = band[r * m + c], b = band[rm * m + cm];
+      full[band_to_full(r, m, n) * n + band_to_full(c, m, n)] = scale * (a + std::conj(b));
+      full[band_to_full(rm, m, n) * n + band_to_full(cm, m, n)] = scale * (b + std::conj(a));
+    }
+  }
+}
+
+// The one SOCS forward implementation (Eq. 2), on the kernels' band grid
+// (M = band_grid()): full-grid mask FFT cropped to the band, per-kernel
+// coherent fields A_k = IFFT_M(H_k_hat .* mask_hat) parallelized over
+// kernels, then the intensity I = sum_k w_k |A_k|^2 reduced per pixel in
+// ascending-k order and Fourier-upsampled to the full grid. |A_k|^2 spans
+// fewer than M bins per axis, so the band-grid samples determine I exactly.
+// At M = N the crop and upsample are skipped. Blocks only partition
+// pixels/kernels — every thread count produces bit-identical output. Shared
+// by LithoSim::aerial_into, the gradient's forward pass and threshold
+// calibration, so tests cover one implementation.
 void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
                   geom::Grid& aerial_image, LithoWorkspace& ws) {
   const std::int32_t n = kernels.grid_size();
   const auto un = static_cast<std::size_t>(n);
-  const std::size_t npx = un * un;
+  const auto um = static_cast<std::size_t>(kernels.band_grid());
+  const bool banded = um < un;
+  const std::size_t mpx = um * um;
   const int num_k = kernels.count();
-  if (ws.ensure_forward(num_k, npx) && obs::metrics_enabled())
+  if (ws.ensure_forward(num_k, mpx, un * un) && obs::metrics_enabled())
     obs::counter("litho.workspace.grows").inc();
 
   // Masks are real, so the forward transform runs the half-cost real-input
   // path; the full Hermitian spectrum comes out in the usual layout.
-  fft::rfft_2d(mask.data.data(), ws.mask_hat.data(), un, un);
+  if (banded) {
+    fft::rfft_2d(mask.data.data(), ws.spec.data(), un, un);
+    crop_spectrum(ws.spec.data(), un, ws.mask_hat.data(), um);
+  } else {
+    fft::rfft_2d(mask.data.data(), ws.mask_hat.data(), un, un);
+  }
 
   for (int k = 0; k < num_k; ++k) ws.weights[static_cast<std::size_t>(k)] = kernels.weight(k);
 
@@ -67,14 +118,15 @@ void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
       [&](std::size_t /*block*/, std::size_t kb, std::size_t ke) {
         for (std::size_t k = kb; k < ke; ++k) {
           auto& field = ws.fields[k];
-          const auto& hat = kernels.freq_kernel(static_cast<int>(k));
-          ops.cmul(ws.mask_hat.data(), hat.data(), field.data(), npx);
-          fft::fft_2d(field.data(), un, un, true);
+          const auto& hat = kernels.band_kernel(static_cast<int>(k));
+          ops.cmul(ws.mask_hat.data(), hat.data(), field.data(), mpx);
+          fft::fft_2d(field.data(), um, um, true);
         }
       });
 
   reshape_like(aerial_image, n, kernels.pixel_nm(), mask);
-  parallel_for_chunks(0, npx, [&](std::size_t b, std::size_t e) {
+  float* intensity = banded ? ws.band_real.data() : aerial_image.data.data();
+  parallel_for_chunks(0, mpx, [&](std::size_t b, std::size_t e) {
     double* acc = ws.acc.data();
     std::fill(acc + b, acc + e, 0.0);
     for (int k = 0; k < num_k; ++k) {
@@ -82,9 +134,11 @@ void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
       const cfloat* f = ws.fields[static_cast<std::size_t>(k)].data();
       ops.norm_weighted_accum(f + b, w, acc + b, e - b);
     }
-    float* out = aerial_image.data.data();
-    for (std::size_t i = b; i < e; ++i) out[i] = static_cast<float>(acc[i]);
+    for (std::size_t i = b; i < e; ++i) intensity[i] = static_cast<float>(acc[i]);
   }, /*serial_threshold=*/1024);
+  if (banded)
+    fft::fourier_upsample_into(intensity, um, um, un / um, ws.band_spec.data(),
+                               ws.spec.data(), aerial_image.data.data());
 }
 
 // Threshold calibration: image a wide vertical stripe and take the intensity
@@ -216,19 +270,29 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
   for (const float d : doses) GANOPC_CHECK(d > 0.0f);
   const std::int32_t n = grid_size();
   const auto un = static_cast<std::size_t>(n);
-  const std::size_t npx = un * un;
+  const auto um = static_cast<std::size_t>(kernels_.band_grid());
+  const bool banded = um < un;
+  const std::size_t npx = un * un, mpx = um * um;
   const int num_k = kernels_.count();
 
   // Forward fields A_k are computed once and shared by every dose corner.
   socs_forward(kernels_, mask_b, ws.aerial_scratch, ws);
-  if (ws.ensure_adjoint(num_k, npx) && obs::metrics_enabled())
+  if (ws.ensure_adjoint(num_k, mpx, npx) && obs::metrics_enabled())
     obs::counter("litho.workspace.grows").inc();
 
-  double* acc = ws.acc.data();
-  std::fill(acc, acc + npx, 0.0);
+  // dE/dM = sum_k w_k * 2 Re( (X .* conj(A_k)) correlated with h_k )
+  //       = 2 Re( IFFT( sum_k w_k FFT(X .* conj(A_k)) .* H_k_hat(-f) ) ),
+  // the frequency-domain form of Eq. (14)'s two convolution terms (conv with
+  // H and with H*) fused via the 2 Re(.) identity. IFFT and Re are linear
+  // over the real weights, so the sum S over kernels and dose corners is
+  // accumulated in the frequency domain on the band grid and inverted once.
+  // The band mask spectrum is dead once the fields exist: S reuses it.
+  cfloat* sum = ws.mask_hat.data();
+  std::fill(sum, sum + mpx, cfloat{});
   const float alpha = resist_.sigmoid_alpha;
+  const fft::VecOps& ops = fft::vec_ops();
   // Dose corners accumulate serially (fixed order); within a dose, the
-  // per-kernel adjoint transforms are independent and the per-pixel sum runs
+  // per-kernel adjoint transforms are independent and the per-bin sum runs
   // in ascending-k order — deterministic at any thread count.
   for (const float dose : doses) {
     // X = dE/dI = 2 (Z - Z_t) .* alpha * dose * Z (1 - Z)   (real-valued);
@@ -243,38 +307,44 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
       }
     }, /*serial_threshold=*/1024);
 
-    // dE/dM = sum_k w_k * 2 Re( (X .* conj(A_k)) correlated with h_k )
-    //       = sum_k w_k * 2 Re( IFFT( FFT(X .* conj(A_k)) .* H_k_hat(-f) ) ).
-    // This is the frequency-domain form of Eq. (14)'s two convolution terms
-    // (conv with H and with H*), fused via the 2 Re(.) identity.
-    const fft::VecOps& ops = fft::vec_ops();
+    // The adjoint reads X only through FFT(X .* conj(A_k)) on the flipped
+    // kernel support, i.e. X_hat within 2w - 1 bins: low-passing X onto the
+    // band grid is exact, and the band product does not alias there.
+    const float* xb = ws.x.data();
+    if (banded) {
+      fft::rfft_2d(ws.x.data(), ws.spec.data(), un, un);
+      crop_spectrum(ws.spec.data(), un, ws.band_spec.data(), um);
+      fft::irfft_2d(ws.band_spec.data(), ws.band_real.data(), um, um);
+      xb = ws.band_real.data();
+    }
     ThreadPool::instance().parallel_blocks(
         static_cast<std::size_t>(num_k),
         [&](std::size_t /*block*/, std::size_t kb, std::size_t ke) {
           for (std::size_t k = kb; k < ke; ++k) {
             auto& buf = ws.adjoint[k];
-            const auto& field = ws.fields[k];
-            ops.cmul_conj_real(ws.x.data(), field.data(), buf.data(), npx);
-            fft::fft_2d(buf.data(), un, un, false);
-            const auto& hat_flipped = kernels_.freq_kernel_flipped(static_cast<int>(k));
-            ops.cmul(buf.data(), hat_flipped.data(), buf.data(), npx);
-            fft::fft_2d(buf.data(), un, un, true);
+            ops.cmul_conj_real(xb, ws.fields[k].data(), buf.data(), mpx);
+            fft::fft_2d(buf.data(), um, um, false);
           }
         });
 
-    parallel_for_chunks(0, npx, [&](std::size_t b, std::size_t e) {
+    parallel_for_chunks(0, mpx, [&](std::size_t b, std::size_t e) {
       for (int k = 0; k < num_k; ++k) {
-        const double w2 = 2.0 * ws.weights[static_cast<std::size_t>(k)];
         const cfloat* buf = ws.adjoint[static_cast<std::size_t>(k)].data();
-        ops.real_weighted_accum(buf + b, w2, acc + b, e - b);
+        const cfloat* hat_flipped = kernels_.band_kernel_flipped(k).data();
+        ops.cmul_weighted_accum(buf + b, hat_flipped + b,
+                                ws.weights[static_cast<std::size_t>(k)], sum + b, e - b);
       }
     }, /*serial_threshold=*/1024);
   }
 
+  // One inverse for every kernel and corner: pad S to the full grid
+  // ((N/M)^2 rescales the band transform), average over corners, 2 Re(IFFT).
   reshape_like(grad_out, n, pixel_nm(), mask_b);
-  const double inv_d = 1.0 / static_cast<double>(doses.size());
-  for (std::size_t i = 0; i < npx; ++i)
-    grad_out.data[i] = static_cast<float>(acc[i] * inv_d);
+  const float scale = static_cast<float>(npx) / static_cast<float>(mpx) /
+                      static_cast<float>(doses.size());
+  cfloat* folded = banded ? ws.spec.data() : sum;
+  fold_pad_spectrum(sum, um, folded, un, scale);
+  fft::irfft_2d(folded, grad_out.data.data(), un, un);
 
   // Robustness tier: simulate the numeric faults (denormal blow-ups, FFT
   // overflow) that ILILT reports on hard patterns. The ILT watchdog must

@@ -7,7 +7,8 @@
 //   gradient dE/dM_b for E = ||Z - Z_t||_2^2      — Eq. (14) core
 //   pv_band  XOR of prints at dose 1 +/- delta    — Table 2 "PVB" column
 //
-// All images are geom::Grid at the simulator's grid_size/pixel_nm geometry.
+// All images are geom::Grid at the simulator's grid_size/pixel_nm geometry;
+// internally the SOCS transforms run on the kernels' band grid (kernels.hpp).
 #pragma once
 
 #include <complex>
@@ -98,10 +99,13 @@ class LithoSim {
 
   /// Eq. (14) gradient averaged over `doses` (the PV-aware dose-corner
   /// objective; a single dose reproduces `gradient`). The coherent fields A_k
-  /// are computed once and shared by every dose corner, so D corners cost
-  /// 1 + N_h + 2*D*N_h transforms instead of D * (1 + 3*N_h). Per-kernel
-  /// loops run on the thread pool; reductions are fixed-order (deterministic
-  /// at any thread count). `grad_out` is resized to the mask geometry.
+  /// are computed once and shared by every dose corner, and the adjoint sum
+  /// over kernels and corners accumulates in the frequency domain on the
+  /// band grid: D corners cost one forward pass (1 mask FFT + N_h band
+  /// IFFTs + upsample), D * (low-pass of dE/dI + N_h band FFTs) and a single
+  /// full-grid inverse (DESIGN.md §7). Per-kernel loops run on the thread
+  /// pool; reductions are fixed-order (deterministic at any thread count).
+  /// `grad_out` is resized to the mask geometry.
   void gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
                      std::span<const float> doses, geom::Grid& grad_out,
                      LithoWorkspace& ws) const;

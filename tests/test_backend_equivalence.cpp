@@ -14,6 +14,8 @@
 //     L2 and PV band
 //   - each backend stays bitwise deterministic across thread counts and
 //     SIMD dispatch arms (the test_litho_determinism pinning, per backend)
+//   - the band-grid SOCS path (Abbe kernels, M < N) matches the full-grid
+//     path that full-rank TCC takes (M = N) on aerial image and gradients
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -191,6 +193,55 @@ TEST(BackendEquivalence, IltParityWithinTwoPercent) {
   EXPECT_NEAR(static_cast<double>(pvb_t.area_nm2),
               static_cast<double>(pvb_a.area_nm2),
               0.02 * static_cast<double>(pvb_a.area_nm2));
+}
+
+TEST(BackendEquivalence, BandGridDerivedFromKernelSupport) {
+  // M = min(N, smallest power of two >= 2w), w = widest kernel support box.
+  const OpticsConfig optics = base_optics();
+  EXPECT_EQ(AbbeBackend().build(optics, 128, 16).band_grid(), 64);
+  EXPECT_EQ(AbbeBackend().build(optics, 256, 8).band_grid(), 64);
+  EXPECT_EQ(TccBackend(8, 0.0).build(optics, 128, 16).band_grid(), 128);
+  EXPECT_EQ(SocsKernels(OpticsConfig{}, 32, 32).band_grid(), 32);
+}
+
+TEST(BackendEquivalence, BandGridPathMatchesFullGrid) {
+  // At 128^2 / 16 nm the Abbe kernels run on the 64^2 band grid, while
+  // full-rank TCC kernels from the same 24 source points span the whole
+  // union of pupil shifts and run on the full grid. Both expand the same
+  // operator, so the band path must reproduce the full-grid aerial image and
+  // Eq. (14) gradients up to float rounding.
+  constexpr std::int32_t kFine = 128, kFinePixel = 16;
+  const OpticsConfig optics = base_optics();
+  const LithoSim band(AbbeBackend().build(optics, kFine, kFinePixel), ResistConfig{});
+  const LithoSim full(TccBackend(24, 0.0).build(optics, kFine, kFinePixel),
+                      ResistConfig{});
+  ASSERT_EQ(band.kernels().band_grid(), 64);
+  ASSERT_EQ(full.kernels().band_grid(), kFine);
+
+  // The notch clip redrawn at the finer pixel (same 2048 nm window).
+  const geom::Grid coarse = notch_target();
+  geom::Grid target(kFine, kFine, kFinePixel);
+  for (std::int32_t r = 0; r < kFine; ++r)
+    for (std::int32_t c = 0; c < kFine; ++c) target.at(r, c) = coarse.at(r / 2, c / 2);
+  const geom::Grid mask = soft_mask(target);
+
+  EXPECT_LE(relative_l2(band.aerial(mask), full.aerial(mask)), 1e-6);
+
+  // One threshold for both, so the gradients differ only by the SOCS path.
+  const float threshold = full.threshold();
+  EXPECT_NEAR(band.threshold(), threshold, 1e-6f * threshold);
+  ResistConfig pinned;
+  pinned.threshold = threshold;
+  const LithoSim band_pinned(band.kernels(), pinned);
+  const LithoSim full_pinned(full.kernels(), pinned);
+  for (const std::vector<float>& doses :
+       {std::vector<float>{1.0f}, std::vector<float>{0.98f, 1.0f, 1.02f}}) {
+    LithoWorkspace ws_band, ws_full;
+    geom::Grid g_band, g_full;
+    band_pinned.gradient_into(mask, target, doses, g_band, ws_band);
+    full_pinned.gradient_into(mask, target, doses, g_full, ws_full);
+    EXPECT_LE(relative_l2(g_band, g_full), 1e-5) << doses.size() << " dose(s)";
+  }
 }
 
 void expect_identical(const geom::Grid& a, const geom::Grid& b,

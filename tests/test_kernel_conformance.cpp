@@ -252,11 +252,11 @@ TEST(FftKernelConformance, VecOpsMatchScalar) {
         EXPECT_NEAR(accs[off + i], accv[off + i], 1e-6)
             << "norm_weighted_accum n=" << n << " off=" << off << " i=" << i;
 
-      sc.real_weighted_accum(a.data() + off, 0.37, accs.data() + off, n);
-      vx.real_weighted_accum(a.data() + off, 0.37, accv.data() + off, n);
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_NEAR(accs[off + i], accv[off + i], 1e-6)
-            << "real_weighted_accum n=" << n << " off=" << off << " i=" << i;
+      std::vector<cfloat> cs = b, cv = b;
+      sc.cmul_weighted_accum(a.data() + off, b.data() + off, 0.37f, cs.data() + off, n);
+      vx.cmul_weighted_accum(a.data() + off, b.data() + off, 0.37f, cv.data() + off, n);
+      EXPECT_LE(max_abs_diff(cs.data() + off, cv.data() + off, n), 1e-5f)
+          << "cmul_weighted_accum n=" << n << " off=" << off;
     }
   }
 }

@@ -84,6 +84,40 @@ TEST(Kernels, FlippedKernelIndexing) {
   }
 }
 
+TEST(Kernels, BandTablesHoldEveryKernelBin) {
+  // At 32^2 / 16 nm a kernel spans w = 7 bins per axis, so M = 16: the band
+  // copy must carry every nonzero bin of the full table at the same signed
+  // frequency, and its flip must index the band grid.
+  SocsKernels k(small_optics(4), 32, 16);
+  const std::int32_t m = k.band_grid();
+  ASSERT_EQ(m, 16);
+  for (int i = 0; i < k.count(); ++i) {
+    const auto& hat = k.freq_kernel(i);
+    const auto& band = k.band_kernel(i);
+    const auto& flip = k.band_kernel_flipped(i);
+    ASSERT_EQ(band.size(), static_cast<std::size_t>(m) * m);
+    int nonzero = 0;
+    for (std::int32_t r = 0; r < 32; ++r)
+      for (std::int32_t c = 0; c < 32; ++c) {
+        const auto v = hat[static_cast<std::size_t>(r) * 32 + c];
+        if (v == std::complex<float>{}) continue;
+        ++nonzero;
+        const std::int32_t fr = r <= 16 ? r : r - 32, fc = c <= 16 ? c : c - 32;
+        ASSERT_LT(std::abs(fr), m / 2);
+        ASSERT_LT(std::abs(fc), m / 2);
+        EXPECT_EQ(band[static_cast<std::size_t>((fr + m) % m) * m + (fc + m) % m], v);
+      }
+    int band_nonzero = 0;
+    for (std::int32_t r = 0; r < m; ++r)
+      for (std::int32_t c = 0; c < m; ++c) {
+        band_nonzero += band[static_cast<std::size_t>(r) * m + c] != std::complex<float>{};
+        EXPECT_EQ(flip[static_cast<std::size_t>(r) * m + c],
+                  band[static_cast<std::size_t>((m - r) % m) * m + (m - c) % m]);
+      }
+    EXPECT_EQ(band_nonzero, nonzero);
+  }
+}
+
 TEST(Kernels, SpatialKernelEnergyConcentratedAtCenter) {
   // The PSF of a low-pass pupil must concentrate energy near the center
   // after fftshift.

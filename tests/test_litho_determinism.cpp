@@ -6,7 +6,8 @@
 // change a single bit of any result. This tier pins that contract: aerial,
 // gradient (single- and multi-dose), a full ILT iteration and a simulate
 // batch are computed at 1, 2 and hardware_concurrency threads (plus an
-// oversubscribed pool) and compared bit-for-bit.
+// oversubscribed pool) and compared bit-for-bit, on the full grid and on the
+// band-grid SOCS path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,14 +64,8 @@ Snapshot run_engine(const LithoSim& sim, const geom::Grid& target) {
   return s;
 }
 
-TEST(LithoDeterminism, BitIdenticalAtEveryThreadCount) {
-  OpticsConfig optics;
-  optics.num_kernels = 12;
-  const LithoSim sim(optics, ResistConfig{}, 32, 32);
-  geom::Grid target(32, 32, 32);
-  for (std::int32_t r = 8; r < 24; ++r)
-    for (std::int32_t c = 12; c < 20; ++c) target.at(r, c) = 1.0f;
-
+void expect_bit_identical_at_every_thread_count(const LithoSim& sim,
+                                                const geom::Grid& target) {
   ThreadPool::reset(1);
   const Snapshot base = run_engine(sim, target);
 
@@ -92,6 +87,29 @@ TEST(LithoDeterminism, BitIdenticalAtEveryThreadCount) {
       expect_identical(s.batch[i], base.batch[i], "batch print", t);
   }
   ThreadPool::reset(ThreadPool::default_thread_count());
+}
+
+TEST(LithoDeterminism, BitIdenticalAtEveryThreadCount) {
+  OpticsConfig optics;
+  optics.num_kernels = 12;
+  const LithoSim sim(optics, ResistConfig{}, 32, 32);
+  geom::Grid target(32, 32, 32);
+  for (std::int32_t r = 8; r < 24; ++r)
+    for (std::int32_t c = 12; c < 20; ++c) target.at(r, c) = 1.0f;
+  expect_bit_identical_at_every_thread_count(sim, target);
+}
+
+TEST(LithoDeterminism, BandGridBitIdenticalAtEveryThreadCount) {
+  // 64^2 at 16 nm runs SOCS on the 32^2 band grid: the crop, low-pass,
+  // upsample and padded-inverse steps are pinned like the full-grid path.
+  OpticsConfig optics;
+  optics.num_kernels = 12;
+  const LithoSim sim(optics, ResistConfig{}, 64, 16);
+  ASSERT_EQ(sim.kernels().band_grid(), 32);
+  geom::Grid target(64, 64, 16);
+  for (std::int32_t r = 16; r < 48; ++r)
+    for (std::int32_t c = 24; c < 40; ++c) target.at(r, c) = 1.0f;
+  expect_bit_identical_at_every_thread_count(sim, target);
 }
 
 TEST(LithoDeterminism, IltSolveBitIdenticalAcrossOddThreadCounts) {

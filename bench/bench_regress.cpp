@@ -1,21 +1,28 @@
 // bench_regress: perf-regression baseline emitter (DESIGN.md §10).
 //
-// Runs a fixed, deterministic litho workload and a short ILT run with the
-// obs layer enabled, then dumps the per-stage timing distributions straight
-// from the obs histograms:
-//   BENCH_litho.json — simulate / simulate_batch / gradient / aerial /
-//                      pv_band stage timings + FFT plan-cache hit rate
-//   BENCH_ilt.json   — ilt.optimize timing, iteration count, terminations
-// Each file also carries "[tcc]"-labeled rows: the same workload through the
-// truncated-TCC backend (`tcc:8`), so the serving-path speedup the backend
-// exists for is itself regression-gated — TCC litho.simulate p50 must stay
-// ~(1 + N_abbe) / (1 + k) times under the Abbe row (DESIGN.md §15).
+// Runs a fixed, deterministic litho workload, a short ILT run and a set of
+// layer kernels with the obs layer enabled, then dumps the per-stage timing
+// distributions straight from the obs histograms:
+//   BENCH_litho.json  — simulate / simulate_batch / gradient / aerial /
+//                       pv_band stage timings + FFT plan-cache hit rate
+//   BENCH_ilt.json    — ilt.optimize timing, iteration count, terminations
+//   BENCH_layers.json — the layers under those stages: complex 2-D FFT
+//                       pairs, square SGEMM, generator inference and the
+//                       fused 3-dose gradient (DESIGN.md §10 lists the rows)
+// The litho and ILT files also carry "[tcc]"-labeled rows: the same workload
+// through the truncated-TCC backend (`tcc:8`), so the serving backend's cost
+// and solution quality are gated next to the Abbe reference. On the
+// band-limited SOCS grid TCC is no faster than Abbe: at --grid 128 its
+// kernels, spanning the union of pupil shifts, keep the band grid M = 128
+// while the Abbe set runs at M = 64, and the committed `litho.gradient` p50s
+// are equal (EXPERIMENTS.md).
 // Each stage entry carries {count, sum_s, p50_s, p95_s}, so two snapshots
 // from different commits diff into a regression report. CI's bench-smoke job
-// uploads both files as artifacts.
+// uploads all three files as artifacts.
 //
-// Usage: bench_regress [--out DIR] [--grid N] [--reps N]
+// Usage: bench_regress [--out DIR] [--grid N] [--reps N] [--trace 0|1]
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,10 +31,14 @@
 #include <string>
 #include <vector>
 
+#include "common/prng.hpp"
+#include "core/generator.hpp"
+#include "fft/fft.hpp"
 #include "geometry/raster.hpp"
 #include "ilt/ilt.hpp"
 #include "litho/backend.hpp"
 #include "litho/lithosim.hpp"
+#include "nn/gemm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -232,5 +243,70 @@ int main(int argc, char** argv) {
                 "ilt.termination.converged", "ilt.termination.patience",
                 "ilt.termination.target-reached"},
                quality);
+
+  // --- layers ---------------------------------------------------------------
+  // The kernels under the stages above, at fixed sizes (the gradient at
+  // --grid): the FFT and SGEMM that every litho and generator layer reduces
+  // to, generator inference (the paper's GAN forward), and the fused
+  // PV-aware gradient the ILT runs when it optimizes dose corners. A sized
+  // row prints as "<name>[<n>]"; metric names allow no brackets, so its
+  // histogram is "<name>.<n>.seconds".
+  obs::reset_values();
+  std::vector<std::pair<std::string, std::string>> layer_rows;  // stage, label
+  // Times `reps` calls of `fn`, after one untimed warm-up, into the histogram
+  // a span named `stage` would fill, so the rows print through append_stage.
+  const auto layer = [&](const char* name, std::size_t n, auto&& fn) {
+    std::string stage = name, label = name;
+    if (n != 0) {
+      stage += "." + std::to_string(n);
+      label += "[" + std::to_string(n) + "]";
+    }
+    fn();
+    obs::Histogram& h = obs::histogram(stage + ".seconds", obs::time_buckets());
+    for (int r = 0; r < reps; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      fn();
+      h.observe(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                    .count());
+    }
+    layer_rows.emplace_back(std::move(stage), std::move(label));
+  };
+  for (const std::size_t n : {64, 128, 256}) {
+    Prng rng(1);
+    std::vector<fft::cfloat> data(n * n);
+    for (auto& v : data)
+      v = {static_cast<float>(rng.uniform(-1, 1)), static_cast<float>(rng.uniform(-1, 1))};
+    layer("fft.fft_2d_pair", n, [&] {
+      fft::fft_2d(data, n, n, false);
+      fft::fft_2d(data, n, n, true);
+    });
+  }
+  for (const std::size_t n : {64, 128, 256}) {
+    Prng rng(2);
+    std::vector<float> a(n * n), b(n * n), c(n * n);
+    for (auto& v : a) v = static_cast<float>(rng.uniform(-1, 1));
+    for (auto& v : b) v = static_cast<float>(rng.uniform(-1, 1));
+    layer("nn.sgemm", n, [&] { nn::matmul(a.data(), b.data(), c.data(), n, n, n); });
+  }
+  for (const std::int32_t n : {32, 64}) {
+    Prng rng(3);
+    core::Generator gen(n, 8, rng);
+    geom::Grid clip(n, n, 2048 / n);
+    for (std::int32_t r = 8; r < n - 8; ++r) clip.at(r, n / 2) = 1.0f;
+    layer("generator.infer", static_cast<std::size_t>(n),
+          [&] { (void)gen.infer(clip); });
+  }
+  {
+    const float doses[] = {0.98f, 1.0f, 1.02f};
+    litho::LithoWorkspace ws;
+    geom::Grid grad;
+    layer("litho.gradient_3dose", 0,
+          [&] { sim.gradient_into(masks[1], target, doses, grad, ws); });
+  }
+  const obs::Snapshot layers = obs::snapshot();
+  std::vector<StageRow> rows;
+  for (const auto& [stage, label] : layer_rows)
+    rows.push_back({&layers, stage.c_str(), label.c_str()});
+  write_report(out_dir + "/BENCH_layers.json", "layers", grid, reps, layers, rows, {});
   return 0;
 }

@@ -46,20 +46,6 @@ void fft_1d(std::vector<cfloat>& data, bool inverse) {
   active_fft()(data.data(), plan_for(data.size()), inverse);
 }
 
-void fft_1d_strided(cfloat* data, std::size_t n, std::size_t stride, bool inverse) {
-  GANOPC_CHECK_MSG(is_pow2(n), "FFT size must be a power of two");
-  const FftPlan& plan = plan_for(n);
-  const FftInplaceFn kernel = active_fft();
-  if (stride == 1) {
-    kernel(data, plan, inverse);
-    return;
-  }
-  std::vector<cfloat> tmp(n);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = data[i * stride];
-  kernel(tmp.data(), plan, inverse);
-  for (std::size_t i = 0; i < n; ++i) data[i * stride] = tmp[i];
-}
-
 void fft_2d(cfloat* data, std::size_t height, std::size_t width, bool inverse) {
   GANOPC_CHECK_MSG(is_pow2(height) && is_pow2(width), "FFT dims must be powers of two");
   const FftPlan& row_plan = plan_for(width);
@@ -243,20 +229,6 @@ void fourier_upsample_into(const float* in, std::size_t height, std::size_t widt
   irfft_2d(big_spec, out, oh, ow);
   const auto scale = static_cast<float>(factor) * factor;  // FFT normalization
   for (std::size_t i = 0; i < oh * ow; ++i) out[i] *= scale;
-}
-
-std::vector<float> circular_convolve_2d(const std::vector<float>& a,
-                                        const std::vector<float>& b,
-                                        std::size_t height, std::size_t width) {
-  GANOPC_CHECK(a.size() == height * width && b.size() == height * width);
-  const std::size_t npx = height * width;
-  std::vector<cfloat> fa(npx), fb(npx);
-  rfft_2d(a.data(), fa.data(), height, width);
-  rfft_2d(b.data(), fb.data(), height, width);
-  vec_ops().cmul(fa.data(), fb.data(), fa.data(), npx);
-  std::vector<float> out(npx);
-  irfft_2d(fa.data(), out.data(), height, width);
-  return out;
 }
 
 }  // namespace ganopc::fft

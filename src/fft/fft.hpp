@@ -24,9 +24,6 @@ std::size_t next_pow2(std::size_t n);
 /// In-place 1-D FFT of length n = data.size(). Requires power-of-two size.
 void fft_1d(std::vector<cfloat>& data, bool inverse);
 
-/// In-place 1-D FFT over a raw strided span (n elements, given stride).
-void fft_1d_strided(cfloat* data, std::size_t n, std::size_t stride, bool inverse);
-
 /// In-place 2-D FFT of a row-major height x width grid. Power-of-two dims.
 /// Parallelized over rows/columns via the shared thread pool.
 void fft_2d(cfloat* data, std::size_t height, std::size_t width, bool inverse);
@@ -64,11 +61,5 @@ std::vector<float> fourier_upsample_2d(const std::vector<float>& in, std::size_t
 void fourier_upsample_into(const float* in, std::size_t height, std::size_t width,
                            std::size_t factor, cfloat* small_spec, cfloat* big_spec,
                            float* out);
-
-/// Circular (periodic) 2-D convolution of two same-size real grids via FFT:
-/// out[p] = sum_q a[q] * b[p - q mod N]. Grids are height x width row-major.
-std::vector<float> circular_convolve_2d(const std::vector<float>& a,
-                                        const std::vector<float>& b,
-                                        std::size_t height, std::size_t width);
 
 }  // namespace ganopc::fft

@@ -167,10 +167,6 @@ const std::vector<cfloat>& SocsKernels::freq_kernel(int k) const {
   return freq_kernels_.at(static_cast<std::size_t>(k));
 }
 
-std::vector<cfloat> SocsKernels::freq_kernel_flipped(int k) const {
-  return flip_freq(freq_kernel(k), grid_);
-}
-
 const std::vector<cfloat>& SocsKernels::band_kernel(int k) const {
   return band_kernels_.empty() ? freq_kernel(k)
                                : band_kernels_.at(static_cast<std::size_t>(k));

@@ -52,12 +52,6 @@ class SocsKernels {
   /// Frequency-domain kernel k (grid*grid complex values, unshifted layout).
   const std::vector<std::complex<float>>& freq_kernel(int k) const;
 
-  /// Frequency-domain kernel evaluated at negated frequencies,
-  /// H_k_hat[(-f) mod N] — the transfer function of the flipped kernel.
-  /// Derived on demand (full grid, not stored); the adjoint pass reads
-  /// band_kernel_flipped.
-  std::vector<std::complex<float>> freq_kernel_flipped(int k) const;
-
   /// Side M of the band grid the SOCS forward and adjoint passes run on: the
   /// smallest power of two >= 2w (w = the widest per-axis support box of any
   /// kernel spectrum), capped at grid_size(). Below grid_size(), every
@@ -68,7 +62,8 @@ class SocsKernels {
   /// signed window. Is freq_kernel(k) when band_grid() == grid_size().
   const std::vector<std::complex<float>>& band_kernel(int k) const;
 
-  /// band_kernel(k) at negated frequencies.
+  /// band_kernel(k) at negated frequencies, H_k_hat[(-f) mod M] — the
+  /// transfer function of the flipped kernel, which the adjoint pass reads.
   const std::vector<std::complex<float>>& band_kernel_flipped(int k) const;
 
   float weight(int k) const { return weights_.at(static_cast<std::size_t>(k)); }

@@ -86,7 +86,7 @@ void fold_pad_spectrum(const cfloat* band, std::size_t m, cfloat* full, std::siz
 // fewer than M bins per axis, so the band-grid samples determine I exactly.
 // At M = N the crop and upsample are skipped. Blocks only partition
 // pixels/kernels — every thread count produces bit-identical output. Shared
-// by LithoSim::aerial_into, the gradient's forward pass and threshold
+// by LithoSim::aerial, the gradient's forward pass and threshold
 // calibration, so tests cover one implementation.
 void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
                   geom::Grid& aerial_image, LithoWorkspace& ws) {
@@ -183,16 +183,11 @@ void LithoSim::check_geometry(const geom::Grid& g) const {
                              << grid_size());
 }
 
-void LithoSim::aerial_into(const geom::Grid& mask, geom::Grid& aerial_image,
-                           LithoWorkspace& ws) const {
+geom::Grid LithoSim::aerial(const geom::Grid& mask) const {
   GANOPC_OBS_SPAN("litho.aerial");
   check_geometry(mask);
-  socs_forward(kernels_, mask, aerial_image, ws);
-}
-
-geom::Grid LithoSim::aerial(const geom::Grid& mask) const {
   geom::Grid out;
-  aerial_into(mask, out, tls_workspace());
+  socs_forward(kernels_, mask, out, tls_workspace());
   return out;
 }
 
@@ -236,14 +231,14 @@ geom::Grid LithoSim::relaxed_wafer(const geom::Grid& aerial_image, float dose) c
 }
 
 LithoSim::ForwardResult LithoSim::forward_relaxed(const geom::Grid& mask_b,
-                                                  const geom::Grid& target, float dose,
-                                                  LithoWorkspace& ws) const {
+                                                  const geom::Grid& target,
+                                                  float dose) const {
   GANOPC_OBS_SPAN("litho.forward_relaxed");
   check_geometry(mask_b);
   check_geometry(target);
   GANOPC_CHECK(dose > 0.0f);
   ForwardResult result;
-  socs_forward(kernels_, mask_b, result.aerial_image, ws);
+  socs_forward(kernels_, mask_b, result.aerial_image, tls_workspace());
   result.wafer_relaxed = relaxed_wafer(result.aerial_image, dose);
   double err = 0.0;
   for (std::size_t i = 0; i < target.data.size(); ++i) {
@@ -252,12 +247,6 @@ LithoSim::ForwardResult LithoSim::forward_relaxed(const geom::Grid& mask_b,
   }
   result.error = err;
   return result;
-}
-
-LithoSim::ForwardResult LithoSim::forward_relaxed(const geom::Grid& mask_b,
-                                                  const geom::Grid& target,
-                                                  float dose) const {
-  return forward_relaxed(mask_b, target, dose, tls_workspace());
 }
 
 void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,

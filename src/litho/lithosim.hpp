@@ -47,16 +47,12 @@ class LithoSim {
   float threshold() const { return threshold_; }
   float sigmoid_alpha() const { return resist_.sigmoid_alpha; }
 
-  /// Aerial image of a (possibly continuous-valued) mask in [0, 1].
-  /// Convenience wrapper over `aerial_into` using a per-thread workspace.
+  /// Aerial image of a (possibly continuous-valued) mask in [0, 1]. Scratch
+  /// buffers come from the calling thread's workspace, so repeated calls
+  /// reuse them. The SOCS per-kernel loop runs on the shared thread pool with
+  /// a fixed-order per-pixel reduction: results are bit-identical at any
+  /// thread count.
   geom::Grid aerial(const geom::Grid& mask) const;
-
-  /// Aerial image into a caller-owned output grid using caller-owned scratch
-  /// buffers; repeated calls allocate nothing once `ws` is warm. The SOCS
-  /// per-kernel loop runs on the shared thread pool with a fixed-order
-  /// per-pixel reduction: results are bit-identical at any thread count.
-  void aerial_into(const geom::Grid& mask, geom::Grid& aerial_image,
-                   LithoWorkspace& ws) const;
 
   /// Hard resist print of an aerial image at the given dose.
   geom::Grid print(const geom::Grid& aerial_image, float dose = 1.0f) const;
@@ -85,10 +81,6 @@ class LithoSim {
   /// doses).
   ForwardResult forward_relaxed(const geom::Grid& mask_b, const geom::Grid& target,
                                 float dose = 1.0f) const;
-
-  /// Workspace-explicit variant of `forward_relaxed` (no scratch allocation).
-  ForwardResult forward_relaxed(const geom::Grid& mask_b, const geom::Grid& target,
-                                float dose, LithoWorkspace& ws) const;
 
   /// dE/dM_b with E = ||Z - Z_t||_2^2 through the relaxed resist — the
   /// convolutional core of Eq. (14), evaluated at the given dose. The caller

@@ -9,8 +9,8 @@
 // spectra, the N_h coherent-field buffers and the accumulators afresh on
 // every call (as the seed engine did) dominates small-grid runtimes and
 // fragments the heap under ILT's hundreds of iterations. A workspace owns
-// those buffers and only ever grows, so repeated `aerial_into` /
-// `gradient_into` calls allocate nothing.
+// those buffers and only ever grows, so repeated `aerial` / `gradient_into`
+// calls allocate no scratch.
 //
 // A workspace is NOT thread-safe: it belongs to one simulation call at a
 // time. The convenience wrappers in LithoSim use one workspace per thread;

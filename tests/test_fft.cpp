@@ -156,25 +156,6 @@ TEST(Fft2d, FftShiftIsInvolution) {
     EXPECT_EQ(data[i].real(), orig[i].real());
 }
 
-TEST(Convolve, MatchesBruteForceCircular) {
-  const std::size_t h = 8, w = 8;
-  Prng rng(13);
-  std::vector<float> a(h * w), b(h * w);
-  for (auto& v : a) v = static_cast<float>(rng.uniform(-1, 1));
-  for (auto& v : b) v = static_cast<float>(rng.uniform(-1, 1));
-  const auto out = circular_convolve_2d(a, b, h, w);
-  for (std::size_t pr = 0; pr < h; ++pr)
-    for (std::size_t pc = 0; pc < w; ++pc) {
-      double acc = 0.0;
-      for (std::size_t qr = 0; qr < h; ++qr)
-        for (std::size_t qc = 0; qc < w; ++qc) {
-          const std::size_t br = (pr + h - qr) % h, bc = (pc + w - qc) % w;
-          acc += static_cast<double>(a[qr * w + qc]) * b[br * w + bc];
-        }
-      EXPECT_NEAR(out[pr * w + pc], acc, 1e-3) << pr << "," << pc;
-    }
-}
-
 TEST(FourierUpsample, ReproducesSamplesOfBandlimitedSignal) {
   // A low-frequency 2-D cosine is exactly reconstructible: the upsampled
   // grid must match the analytic signal at every fine sample.
@@ -210,16 +191,6 @@ TEST(FourierUpsample, PreservesMean) {
   for (float v : in) m_in += v;
   for (float v : out) m_out += v;
   EXPECT_NEAR(m_in / in.size(), m_out / out.size(), 1e-4);
-}
-
-TEST(Convolve, DeltaIsIdentity) {
-  const std::size_t n = 16;
-  Prng rng(21);
-  std::vector<float> a(n * n), delta(n * n, 0.0f);
-  for (auto& v : a) v = static_cast<float>(rng.uniform(-1, 1));
-  delta[0] = 1.0f;
-  const auto out = circular_convolve_2d(a, delta, n, n);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_NEAR(out[i], a[i], 1e-4f);
 }
 
 }  // namespace

@@ -71,10 +71,13 @@ TEST(Kernels, WeightsMatchSource) {
 }
 
 TEST(Kernels, FlippedKernelIndexing) {
-  SocsKernels k(small_optics(4), 32, 16);
+  // At 32^2 / 32 nm a kernel spans w = 15 bins per axis, so M = N: the band
+  // tables are the full tables and the flip indexes the full grid.
+  SocsKernels k(small_optics(4), 32, 32);
+  ASSERT_EQ(k.band_grid(), 32);
   for (int i = 0; i < k.count(); ++i) {
-    const auto& hat = k.freq_kernel(i);
-    const auto& flip = k.freq_kernel_flipped(i);
+    const auto& hat = k.band_kernel(i);
+    const auto& flip = k.band_kernel_flipped(i);
     for (std::int32_t r = 0; r < 32; ++r)
       for (std::int32_t c = 0; c < 32; ++c) {
         const std::int32_t nr = (32 - r) % 32, nc = (32 - c) % 32;

@@ -153,7 +153,8 @@ TEST(LithoDeterminism, IltSolveBitIdenticalAcrossOddThreadCounts) {
 
 TEST(LithoDeterminism, RepeatedCallsOnWarmWorkspaceAreStable) {
   // Buffer reuse must not leak state between calls: interleaving different
-  // masks through one workspace reproduces the cold-workspace results.
+  // masks through one thread's workspace reproduces the cold-workspace
+  // results. A fresh std::thread starts with an empty thread-local workspace.
   OpticsConfig optics;
   optics.num_kernels = 8;
   const LithoSim sim(optics, ResistConfig{}, 32, 32);
@@ -163,16 +164,17 @@ TEST(LithoDeterminism, RepeatedCallsOnWarmWorkspaceAreStable) {
   for (std::int32_t r = 12; r < 20; ++r)
     for (std::int32_t c = 4; c < 28; ++c) b.at(r, c) = 1.0f;
 
-  LithoWorkspace cold_a, cold_b, warm;
-  geom::Grid ref_a, ref_b, out;
-  sim.aerial_into(a, ref_a, cold_a);
-  sim.aerial_into(b, ref_b, cold_b);
-  sim.aerial_into(a, out, warm);
-  expect_identical(out, ref_a, "warm aerial(a)", ThreadPool::instance().size());
-  sim.aerial_into(b, out, warm);
-  expect_identical(out, ref_b, "warm aerial(b)", ThreadPool::instance().size());
-  sim.aerial_into(a, out, warm);
-  expect_identical(out, ref_a, "warm aerial(a) again", ThreadPool::instance().size());
+  const auto cold = [&](const geom::Grid& mask) {
+    geom::Grid out;
+    std::thread([&] { out = sim.aerial(mask); }).join();
+    return out;
+  };
+  const geom::Grid ref_a = cold(a), ref_b = cold(b);
+  (void)sim.aerial(b);  // warm this thread's workspace on the other mask first
+  expect_identical(sim.aerial(a), ref_a, "warm aerial(a)", ThreadPool::instance().size());
+  expect_identical(sim.aerial(b), ref_b, "warm aerial(b)", ThreadPool::instance().size());
+  expect_identical(sim.aerial(a), ref_a, "warm aerial(a) again",
+                   ThreadPool::instance().size());
 }
 
 }  // namespace

@@ -247,19 +247,19 @@ int main(int argc, char** argv) {
   // --- layers ---------------------------------------------------------------
   // The kernels under the stages above, at fixed sizes (the gradient at
   // --grid): the FFT and SGEMM that every litho and generator layer reduces
-  // to, generator inference (the paper's GAN forward), and the fused
-  // PV-aware gradient the ILT runs when it optimizes dose corners. A sized
-  // row prints as "<name>[<n>]"; metric names allow no brackets, so its
-  // histogram is "<name>.<n>.seconds".
+  // to, pv_band's Fourier upsample, generator inference (the paper's GAN
+  // forward), and the fused PV-aware gradient the ILT runs when it optimizes
+  // dose corners. A sized row prints as "<name>[<size>]"; metric names allow
+  // no brackets, so its histogram is "<name>.<size>.seconds".
   obs::reset_values();
   std::vector<std::pair<std::string, std::string>> layer_rows;  // stage, label
   // Times `reps` calls of `fn`, after one untimed warm-up, into the histogram
   // a span named `stage` would fill, so the rows print through append_stage.
-  const auto layer = [&](const char* name, std::size_t n, auto&& fn) {
+  const auto layer = [&](const char* name, const std::string& size, auto&& fn) {
     std::string stage = name, label = name;
-    if (n != 0) {
-      stage += "." + std::to_string(n);
-      label += "[" + std::to_string(n) + "]";
+    if (!size.empty()) {
+      stage += "." + size;
+      label += "[" + size + "]";
     }
     fn();
     obs::Histogram& h = obs::histogram(stage + ".seconds", obs::time_buckets());
@@ -276,9 +276,22 @@ int main(int argc, char** argv) {
     std::vector<fft::cfloat> data(n * n);
     for (auto& v : data)
       v = {static_cast<float>(rng.uniform(-1, 1)), static_cast<float>(rng.uniform(-1, 1))};
-    layer("fft.fft_2d_pair", n, [&] {
+    layer("fft.fft_2d_pair", std::to_string(n), [&] {
       fft::fft_2d(data, n, n, false);
       fft::fft_2d(data, n, n, true);
+    });
+  }
+  {
+    // pv_band's 2 nm field at the default 128^2 / 16 nm geometry: an 8x
+    // band-limited upsample, 128^2 -> 1024^2, into preallocated buffers.
+    const std::size_t n = 128, factor = 8, big = n * factor * n * factor;
+    Prng rng(4);
+    std::vector<float> in(n * n), fine(big);
+    for (auto& v : in) v = static_cast<float>(rng.uniform(0, 1));
+    std::vector<fft::cfloat> small_spec(n * n), big_spec(big);
+    layer("fft.upsample_2d", "128x8", [&] {
+      fft::fourier_upsample_into(in.data(), n, n, factor, small_spec.data(),
+                                 big_spec.data(), fine.data());
     });
   }
   for (const std::size_t n : {64, 128, 256}) {
@@ -286,21 +299,22 @@ int main(int argc, char** argv) {
     std::vector<float> a(n * n), b(n * n), c(n * n);
     for (auto& v : a) v = static_cast<float>(rng.uniform(-1, 1));
     for (auto& v : b) v = static_cast<float>(rng.uniform(-1, 1));
-    layer("nn.sgemm", n, [&] { nn::matmul(a.data(), b.data(), c.data(), n, n, n); });
+    layer("nn.sgemm", std::to_string(n),
+          [&] { nn::matmul(a.data(), b.data(), c.data(), n, n, n); });
   }
   for (const std::int32_t n : {32, 64}) {
     Prng rng(3);
     core::Generator gen(n, 8, rng);
     geom::Grid clip(n, n, 2048 / n);
     for (std::int32_t r = 8; r < n - 8; ++r) clip.at(r, n / 2) = 1.0f;
-    layer("generator.infer", static_cast<std::size_t>(n),
+    layer("generator.infer", std::to_string(n),
           [&] { (void)gen.infer(clip); });
   }
   {
     const float doses[] = {0.98f, 1.0f, 1.02f};
     litho::LithoWorkspace ws;
     geom::Grid grad;
-    layer("litho.gradient_3dose", 0,
+    layer("litho.gradient_3dose", "",
           [&] { sim.gradient_into(masks[1], target, doses, grad, ws); });
   }
   const obs::Snapshot layers = obs::snapshot();

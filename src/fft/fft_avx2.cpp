@@ -11,7 +11,17 @@
 // products. Butterfly stages with half >= 4 consume the plan's contiguous
 // per-stage twiddles four at a time; the two smallest stages (half 1 and 2)
 // use fixed shuffle patterns since their twiddles are +-1 / -+i.
+//
+// The across-lines column kernel holds one complex value from each of four
+// adjacent lines per vector, so every butterfly is one vector op with the
+// twiddle broadcast. It replays the per-line kernel's stage forms exactly
+// (the same exact +-i twiddles in the len=4 stage, the same add-of-negation
+// in the len=2 stage), which makes each line bit-identical to a
+// fft_inplace_avx2 call on a gathered copy of it. Each group of four lines
+// is staged through a contiguous tile (see fft_columns_avx2).
 #include "fft/fft_kernels.hpp"
+
+#include <vector>
 
 #include "fft/plan.hpp"
 
@@ -130,6 +140,103 @@ void fft_inplace_avx2(cfloat* data, const FftPlan& plan, bool inverse) {
 
 namespace {
 
+/// Butterfly stages (and the inverse 1/n scaling) of one n x 4 tile: four
+/// lines interleaved, one vector per row, already in bit-reversed order.
+void tile_stages(float* t, const FftPlan& plan, bool inverse) {
+  const std::size_t n = plan.n;
+  const auto row = [t](std::size_t i) { return t + 8 * i; };
+  const __m256 neg = _mm256_set1_ps(-0.0f);
+  // Stage len=2 (w = 1).
+  for (std::size_t i = 0; i < n; i += 2) {
+    const __m256 u = _mm256_loadu_ps(row(i));
+    const __m256 v = _mm256_loadu_ps(row(i + 1));
+    _mm256_storeu_ps(row(i), _mm256_add_ps(u, v));
+    _mm256_storeu_ps(row(i + 1), _mm256_add_ps(u, _mm256_xor_ps(v, neg)));
+  }
+  // Stage len=4 (w in {1, -i} forward / {1, +i} inverse, exact).
+  {
+    const float w1im = inverse ? 1.0f : -1.0f;
+    const __m256 w[2] = {_mm256_setr_ps(1.0f, 0.0f, 1.0f, 0.0f, 1.0f, 0.0f, 1.0f, 0.0f),
+                         _mm256_setr_ps(0.0f, w1im, 0.0f, w1im, 0.0f, w1im, 0.0f, w1im)};
+    for (std::size_t i = 0; i < n; i += 4)
+      for (std::size_t k = 0; k < 2; ++k) {
+        const __m256 u = _mm256_loadu_ps(row(i + k));
+        const __m256 v = cmul4(_mm256_loadu_ps(row(i + k + 2)), w[k]);
+        _mm256_storeu_ps(row(i + k), _mm256_add_ps(u, v));
+        _mm256_storeu_ps(row(i + k + 2), _mm256_add_ps(u, _mm256_xor_ps(v, neg)));
+      }
+  }
+  // General stages (half >= 4): one broadcast twiddle per k.
+  const __m256 cmask = conj_mask();
+  for (std::size_t len = 8; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const cfloat* stw = plan.stage_twiddle.data() + (half - 1);
+    for (std::size_t k = 0; k < half; ++k) {
+      __m256 w = _mm256_castpd_ps(
+          _mm256_broadcast_sd(reinterpret_cast<const double*>(stw + k)));
+      if (inverse) w = _mm256_xor_ps(w, cmask);
+      for (std::size_t i = 0; i < n; i += len) {
+        const __m256 u = _mm256_loadu_ps(row(i + k));
+        const __m256 v = cmul4(_mm256_loadu_ps(row(i + k + half)), w);
+        _mm256_storeu_ps(row(i + k), _mm256_add_ps(u, v));
+        _mm256_storeu_ps(row(i + k + half), _mm256_sub_ps(u, v));
+      }
+    }
+  }
+  if (inverse) {
+    const __m256 s = _mm256_set1_ps(1.0f / static_cast<float>(n));
+    for (std::size_t i = 0; i < n; ++i)
+      _mm256_storeu_ps(row(i), _mm256_mul_ps(_mm256_loadu_ps(row(i)), s));
+  }
+}
+
+}  // namespace
+
+void fft_columns_avx2(cfloat* a, std::size_t stride, std::size_t count,
+                      const FftPlan& plan, bool inverse) {
+  const std::size_t n = plan.n;
+  if (n < 4) {
+    // Tiny transforms: the per-line kernel's scalar butterflies, per line.
+    for (std::size_t l = 0; l < count; ++l) {
+      cfloat line[2];
+      for (std::size_t i = 0; i < n; ++i) line[i] = a[i * stride + l];
+      fft_inplace_avx2(line, plan, inverse);
+      for (std::size_t i = 0; i < n; ++i) a[i * stride + l] = line[i];
+    }
+    return;
+  }
+  // Each group of four lines is copied, in bit-reversed order, into a
+  // contiguous n x 4 tile and transformed there: in place, a row stride of
+  // 1 KiB or more maps the group's rows onto a handful of L1 sets.
+  static thread_local std::vector<cfloat> tile_buf;
+  if (tile_buf.size() < 4 * n) tile_buf.resize(4 * n);
+  float* t = reinterpret_cast<float*>(tile_buf.data());
+  auto* f = reinterpret_cast<float*>(a);
+  const std::size_t fstride = 2 * stride;
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (std::size_t l = 0; l < count; l += 4) {
+    float* g = f + 2 * l;
+    if (count - l >= 4) {
+      for (std::size_t i = 0; i < n; ++i)
+        _mm256_storeu_ps(t + 8 * i, _mm256_loadu_ps(g + plan.bitrev[i] * fstride));
+      tile_stages(t, plan, inverse);
+      for (std::size_t i = 0; i < n; ++i)
+        _mm256_storeu_ps(g + i * fstride, _mm256_loadu_ps(t + 8 * i));
+    } else {
+      // Remainder group: 1-3 lines, the spare lanes zero.
+      const __m256i mask = _mm256_cmpgt_epi32(
+          _mm256_set1_epi32(static_cast<int>(2 * (count - l))), lane);
+      for (std::size_t i = 0; i < n; ++i)
+        _mm256_storeu_ps(t + 8 * i, _mm256_maskload_ps(g + plan.bitrev[i] * fstride, mask));
+      tile_stages(t, plan, inverse);
+      for (std::size_t i = 0; i < n; ++i)
+        _mm256_maskstore_ps(g + i * fstride, mask, _mm256_loadu_ps(t + 8 * i));
+    }
+  }
+}
+
+namespace {
+
 void cmul_avx2(const cfloat* a, const cfloat* b, cfloat* out, std::size_t n) {
   const auto* af = reinterpret_cast<const float*>(a);
   const auto* bf = reinterpret_cast<const float*>(b);
@@ -205,6 +312,11 @@ namespace ganopc::fft {
 
 void fft_inplace_avx2(cfloat* a, const FftPlan& plan, bool inverse) {
   fft_inplace_scalar(a, plan, inverse);
+}
+
+void fft_columns_avx2(cfloat* a, std::size_t stride, std::size_t count,
+                      const FftPlan& plan, bool inverse) {
+  fft_columns_scalar(a, stride, count, plan, inverse);
 }
 
 const VecOps& vec_ops_avx2() { return vec_ops(SimdLevel::kScalar); }

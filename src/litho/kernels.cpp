@@ -33,29 +33,50 @@ std::int32_t signed_freq(std::int32_t i, std::int32_t n) { return i <= n / 2 ? i
 
 void SocsKernels::build_band_tables() {
   const std::int32_t n = grid_;
-  // w: the widest per-axis box spanned by the nonzero bins of any one kernel;
-  // reach: the largest |signed frequency| of any nonzero bin.
+  // Per kernel, the signed-frequency box [lo, hi] of its nonzero bins per
+  // axis. w: the widest box side of any kernel; reach: the largest |signed
+  // frequency| of any nonzero bin.
+  struct Box {
+    std::int32_t lo_r, hi_r, lo_c, hi_c;
+  };
+  std::vector<Box> boxes;
   std::int32_t w = 1, reach = 0;
   for (const auto& hat : freq_kernels_) {
-    std::int32_t lo_r = n, hi_r = -n, lo_c = n, hi_c = -n;
+    Box b{n, -n, n, -n};
     for (std::int32_t r = 0; r < n; ++r)
       for (std::int32_t c = 0; c < n; ++c) {
         if (hat[static_cast<std::size_t>(r) * n + c] == cfloat{}) continue;
         const std::int32_t fr = signed_freq(r, n), fc = signed_freq(c, n);
-        lo_r = std::min(lo_r, fr);
-        hi_r = std::max(hi_r, fr);
-        lo_c = std::min(lo_c, fc);
-        hi_c = std::max(hi_c, fc);
+        b.lo_r = std::min(b.lo_r, fr);
+        b.hi_r = std::max(b.hi_r, fr);
+        b.lo_c = std::min(b.lo_c, fc);
+        b.hi_c = std::max(b.hi_c, fc);
       }
-    if (lo_r > hi_r) continue;  // an all-zero kernel constrains nothing
-    w = std::max({w, hi_r - lo_r + 1, hi_c - lo_c + 1});
-    reach = std::max({reach, -lo_r, hi_r, -lo_c, hi_c});
+    boxes.push_back(b);
+    if (b.lo_r > b.hi_r) continue;  // an all-zero kernel constrains nothing
+    w = std::max({w, b.hi_r - b.lo_r + 1, b.hi_c - b.lo_c + 1});
+    reach = std::max({reach, -b.lo_r, b.hi_r, -b.lo_c, b.hi_c});
   }
+  reach_ = reach;
   // |A_k|^2 and the adjoint products span 2w - 1 bins; M >= 2w holds them
   // without aliasing and leaves the band Nyquist line empty.
   band_ = static_cast<std::int32_t>(
       std::min<std::size_t>(static_cast<std::size_t>(n),
                             fft::next_pow2(2 * static_cast<std::size_t>(w))));
+  // A box [lo, hi] is the circular run starting at bin lo mod M, on the band
+  // grid and (M = N) on the full grid alike.
+  const auto um = static_cast<std::size_t>(band_);
+  for (const Box& b : boxes) {
+    if (b.lo_r > b.hi_r) {
+      band_supports_.push_back({});
+      continue;
+    }
+    const auto run = [um](std::int32_t lo, std::int32_t hi) {
+      return fft::Lines{static_cast<std::size_t>(lo + static_cast<std::int32_t>(um)) % um,
+                        static_cast<std::size_t>(hi - lo + 1)};
+    };
+    band_supports_.push_back({run(b.lo_r, b.hi_r), run(b.lo_c, b.hi_c)});
+  }
   if (band_ == n) {
     for (const auto& hat : freq_kernels_) band_flipped_.push_back(flip_freq(hat, n));
     return;
@@ -65,7 +86,7 @@ void SocsKernels::build_band_tables() {
                                           << "-point band window");
   const std::int32_t m = band_;
   for (const auto& hat : freq_kernels_) {
-    std::vector<cfloat> band(static_cast<std::size_t>(m) * m);
+    std::vector<cfloat> band(um * um);
     for (std::int32_t r = 0; r < m; ++r) {
       const std::int32_t sr = (signed_freq(r, m) + n) % n;
       for (std::int32_t c = 0; c < m; ++c) {

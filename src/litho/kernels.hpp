@@ -12,13 +12,17 @@
 // A_k, |A_k|^2 and every adjoint term of Eq. (14) are represented exactly on
 // the M x M band grid with M = min(N, smallest power of two >= 2w)
 // (DESIGN.md §7). The set keeps band copies of H_k_hat and of the flipped
-// H_k_hat(-f) the gradient needs; at M = N they are the full tables.
+// H_k_hat(-f) the gradient needs; at M = N they are the full tables. It also
+// records, per kernel, the circular runs of band-grid rows and columns its
+// spectrum occupies, so the band transforms skip every line that is zero on
+// input or unread on output (fft.hpp line pruning).
 #pragma once
 
 #include <complex>
 #include <cstdint>
 #include <vector>
 
+#include "fft/fft.hpp"
 #include "litho/optics.hpp"
 #include "litho/tcc.hpp"
 
@@ -66,6 +70,22 @@ class SocsKernels {
   /// transfer function of the flipped kernel, which the adjoint pass reads.
   const std::vector<std::complex<float>>& band_kernel_flipped(int k) const;
 
+  /// The circular runs of band-grid rows and columns that hold every
+  /// nonzero bin of band_kernel(k) (empty runs for an all-zero kernel).
+  /// band_kernel_flipped(k) occupies their Lines::mirrored.
+  struct BandSupport {
+    fft::Lines rows;
+    fft::Lines cols;
+  };
+  const BandSupport& band_support(int k) const {
+    return band_supports_.at(static_cast<std::size_t>(k));
+  }
+
+  /// Largest |signed frequency| of any nonzero kernel bin on either axis:
+  /// every SOCS spectrum product stays within it (< band_grid() / 2 when
+  /// band_grid() < grid_size()).
+  std::int32_t band_reach() const { return reach_; }
+
   float weight(int k) const { return weights_.at(static_cast<std::size_t>(k)); }
 
   /// Spatial-domain kernel (centered via fftshift) — used by tests and for
@@ -83,6 +103,8 @@ class SocsKernels {
   double captured_energy_ = 1.0;
   std::vector<float> weights_;
   std::int32_t band_ = 0;
+  std::int32_t reach_ = 0;
+  std::vector<BandSupport> band_supports_;
   std::vector<std::vector<std::complex<float>>> freq_kernels_;
   /// Band copies of freq_kernels_; empty when band_ == grid_.
   std::vector<std::vector<std::complex<float>>> band_kernels_;

@@ -63,9 +63,12 @@ void crop_spectrum(const cfloat* full, std::size_t n, cfloat* band, std::size_t 
 // irfft_2d(full) = scale * 2 Re(IFFT_n(P)) at half the cost of a complex
 // inverse. Each +/-f pair is read before it is written, so at m == n `full`
 // may be `band` itself. Assumes the band Nyquist line is empty when m < n.
+// The inverse reads only half-spectrum columns [0, cols): at m < n only
+// those are zeroed first (pairs also land in the unread upper columns).
 void fold_pad_spectrum(const cfloat* band, std::size_t m, cfloat* full, std::size_t n,
-                       float scale) {
-  if (full != band) std::fill(full, full + n * n, cfloat{});
+                       float scale, std::size_t cols) {
+  if (full != band)
+    for (std::size_t r = 0; r < n; ++r) std::fill(full + r * n, full + r * n + cols, cfloat{});
   for (std::size_t r = 0; r < m; ++r) {
     const std::size_t rm = (m - r) & (m - 1);
     for (std::size_t c = 0; c < m; ++c) {
@@ -81,8 +84,9 @@ void fold_pad_spectrum(const cfloat* band, std::size_t m, cfloat* full, std::siz
 // The one SOCS forward implementation (Eq. 2), on the kernels' band grid
 // (M = band_grid()): full-grid mask FFT cropped to the band, per-kernel
 // coherent fields A_k = IFFT_M(H_k_hat .* mask_hat) parallelized over
-// kernels, then the intensity I = sum_k w_k |A_k|^2 reduced per pixel in
-// ascending-k order and Fourier-upsampled to the full grid. |A_k|^2 spans
+// kernels (the row pass skips the rows outside H_k's support, which the
+// product leaves zero), then the intensity I = sum_k w_k |A_k|^2 reduced
+// per pixel in ascending-k order and Fourier-upsampled to the full grid. |A_k|^2 spans
 // fewer than M bins per axis, so the band-grid samples determine I exactly.
 // At M = N the crop and upsample are skipped. Blocks only partition
 // pixels/kernels — every thread count produces bit-identical output. Shared
@@ -102,7 +106,8 @@ void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
   // Masks are real, so the forward transform runs the half-cost real-input
   // path; the full Hermitian spectrum comes out in the usual layout.
   if (banded) {
-    fft::rfft_2d(mask.data.data(), ws.spec.data(), un, un);
+    // The crop reads columns (-M/2, M/2): half-spectrum columns [0, M/2).
+    fft::rfft_2d(mask.data.data(), ws.spec.data(), un, un, um / 2);
     crop_spectrum(ws.spec.data(), un, ws.mask_hat.data(), um);
   } else {
     fft::rfft_2d(mask.data.data(), ws.mask_hat.data(), un, un);
@@ -118,9 +123,10 @@ void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
       [&](std::size_t /*block*/, std::size_t kb, std::size_t ke) {
         for (std::size_t k = kb; k < ke; ++k) {
           auto& field = ws.fields[k];
-          const auto& hat = kernels.band_kernel(static_cast<int>(k));
-          ops.cmul(ws.mask_hat.data(), hat.data(), field.data(), mpx);
-          fft::fft_2d(field.data(), um, um, true);
+          const int kk = static_cast<int>(k);
+          ops.cmul(ws.mask_hat.data(), kernels.band_kernel(kk).data(), field.data(), mpx);
+          fft::fft_2d(field.data(), um, um, true, kernels.band_support(kk).rows,
+                      fft::Lines::all(um));
         }
       });
 
@@ -280,6 +286,14 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
   std::fill(sum, sum + mpx, cfloat{});
   const float alpha = resist_.sigmoid_alpha;
   const fft::VecOps& ops = fft::vec_ops();
+  // Lines of the flipped kernel k's band spectrum the adjoint reads: its rows,
+  // and its columns widened to groups of four (whole rows below M = 4, where
+  // a group would not fit).
+  const auto adjoint_lines = [&](int k) {
+    const SocsKernels::BandSupport& s = kernels_.band_support(k);
+    if (um < 4) return SocsKernels::BandSupport{fft::Lines::all(um), fft::Lines::all(um)};
+    return SocsKernels::BandSupport{s.rows.mirrored(um), s.cols.mirrored(um).widened(4, um)};
+  };
   // Dose corners accumulate serially (fixed order); within a dose, the
   // per-kernel adjoint transforms are independent and the per-bin sum runs
   // in ascending-k order — deterministic at any thread count.
@@ -301,39 +315,60 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
     // band grid is exact, and the band product does not alias there.
     const float* xb = ws.x.data();
     if (banded) {
-      fft::rfft_2d(ws.x.data(), ws.spec.data(), un, un);
+      fft::rfft_2d(ws.x.data(), ws.spec.data(), un, un, um / 2);
       crop_spectrum(ws.spec.data(), un, ws.band_spec.data(), um);
-      fft::irfft_2d(ws.band_spec.data(), ws.band_real.data(), um, um);
+      fft::irfft_2d(ws.band_spec.data(), ws.band_real.data(), um, um, um / 2);
       xb = ws.band_real.data();
     }
+    // Only the bins where H_k_hat(-f) is nonzero are read back, so each
+    // adjoint transform's column pass covers just the flipped kernel's
+    // columns, widened to whole groups of four so the accumulate below runs
+    // full vectors only; its rows are the flipped kernel's rows.
     ThreadPool::instance().parallel_blocks(
         static_cast<std::size_t>(num_k),
         [&](std::size_t /*block*/, std::size_t kb, std::size_t ke) {
           for (std::size_t k = kb; k < ke; ++k) {
             auto& buf = ws.adjoint[k];
             ops.cmul_conj_real(xb, ws.fields[k].data(), buf.data(), mpx);
-            fft::fft_2d(buf.data(), um, um, false);
+            fft::fft_2d(buf.data(), um, um, false, fft::Lines::all(um),
+                        adjoint_lines(static_cast<int>(k)).cols);
           }
         });
 
-    parallel_for_chunks(0, mpx, [&](std::size_t b, std::size_t e) {
+    parallel_for_chunks(0, um, [&](std::size_t r0, std::size_t r1) {
       for (int k = 0; k < num_k; ++k) {
         const cfloat* buf = ws.adjoint[static_cast<std::size_t>(k)].data();
         const cfloat* hat_flipped = kernels_.band_kernel_flipped(k).data();
-        ops.cmul_weighted_accum(buf + b, hat_flipped + b,
-                                ws.weights[static_cast<std::size_t>(k)], sum + b, e - b);
+        const float w = ws.weights[static_cast<std::size_t>(k)];
+        const SocsKernels::BandSupport lines = adjoint_lines(k);
+        if (lines.cols.count == um) {
+          // Whole rows: one contiguous span (the only form at M < 4).
+          const std::size_t b = r0 * um, e = r1 * um;
+          ops.cmul_weighted_accum(buf + b, hat_flipped + b, w, sum + b, e - b);
+          continue;
+        }
+        for (std::size_t r = r0; r < r1; ++r) {
+          if (!lines.rows.contains(r, um)) continue;
+          fft::for_each_range(lines.cols, um, [&](std::size_t a, std::size_t b) {
+            const std::size_t i = r * um + a;
+            ops.cmul_weighted_accum(buf + i, hat_flipped + i, w, sum + i, b - a);
+          });
+        }
       }
-    }, /*serial_threshold=*/1024);
+    }, /*serial_threshold=*/1024 / um);
   }
 
   // One inverse for every kernel and corner: pad S to the full grid
   // ((N/M)^2 rescales the band transform), average over corners, 2 Re(IFFT).
+  // S, and so its Hermitian fold, is zero beyond the kernels' reach: the
+  // inverse transforms half-spectrum columns [0, reach] only.
   reshape_like(grad_out, n, pixel_nm(), mask_b);
   const float scale = static_cast<float>(npx) / static_cast<float>(mpx) /
                       static_cast<float>(doses.size());
+  const auto cols = static_cast<std::size_t>(kernels_.band_reach()) + 1;
   cfloat* folded = banded ? ws.spec.data() : sum;
-  fold_pad_spectrum(sum, um, folded, un, scale);
-  fft::irfft_2d(folded, grad_out.data.data(), un, un);
+  fold_pad_spectrum(sum, um, folded, un, scale, cols);
+  fft::irfft_2d(folded, grad_out.data.data(), un, un, cols);
 
   // Robustness tier: simulate the numeric faults (denormal blow-ups, FFT
   // overflow) that ILILT reports on hard patterns. The ILT watchdog must

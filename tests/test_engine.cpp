@@ -197,6 +197,29 @@ TEST_F(EngineTest, CliRungGanIltWithoutGeneratorIsTypedInvalidInput) {
   EXPECT_FALSE(std::filesystem::exists(path("never.pgm")));
 }
 
+TEST_F(EngineTest, CliHelpExitsZeroAndMalformedFlagsAreUsageErrors) {
+  for (const std::string help : {"synth --help", "optimize -h", "--help"}) {
+    const int rc = run_cli(help);
+    ASSERT_TRUE(WIFEXITED(rc)) << help;
+    EXPECT_EQ(WEXITSTATUS(rc), 0) << help;
+    EXPECT_NE(read_bytes(path("stdout.txt")).find("usage: ganopc"), std::string::npos)
+        << help << ": " << read_bytes(path("stdout.txt"));
+  }
+  for (const auto& [args, why] :
+       {std::pair<std::string, std::string>{"synth --out " + path("never") + " --count",
+                                            "missing value for --count"},
+        {"synth --out " + path("never") + " count 3", "expected --flag, got 'count'"},
+        {"optimize --layout", "missing value for --layout"}}) {
+    const int rc = run_cli(args);
+    ASSERT_TRUE(WIFEXITED(rc)) << args;
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << args;
+    const std::string out = read_bytes(path("stdout.txt"));
+    EXPECT_NE(out.find(why), std::string::npos) << args << ": " << out;
+    EXPECT_NE(out.find("usage: ganopc"), std::string::npos) << args << ": " << out;
+  }
+  EXPECT_FALSE(std::filesystem::exists(path("never0.txt")));
+}
+
 TEST_F(EngineTest, SteadyStateSubmissionsReusePlansAndWorkspaces) {
   obs::set_metrics_enabled(true);
   obs::reset_values();

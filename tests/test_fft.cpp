@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -181,6 +182,22 @@ TEST(FourierUpsample, FactorOneIsIdentity) {
   EXPECT_EQ(fft::fourier_upsample_2d(in, 2, 2, 1), in);
 }
 
+TEST(FourierUpsample, SingleRowOrColumnStaysInPlace) {
+  // A 1-point axis has no Nyquist line to split: a constant row or column
+  // upsamples to the same constant, and nothing is written past the
+  // caller's buffers.
+  for (const auto& [h, w] : {std::pair<std::size_t, std::size_t>{1, 8}, {8, 1}}) {
+    const std::size_t factor = 2, big = h * w * factor * factor;
+    std::vector<float> in(h * w, 1.0f), out(big);
+    std::vector<cfloat> small_spec(h * w), big_spec(big + 4, cfloat(7.0f, 7.0f));
+    fourier_upsample_into(in.data(), h, w, factor, small_spec.data(), big_spec.data(),
+                          out.data());
+    for (std::size_t i = 0; i < big; ++i) EXPECT_NEAR(out[i], 1.0f, 1e-6f) << h << "x" << w;
+    for (std::size_t i = big; i < big + 4; ++i)
+      EXPECT_EQ(big_spec[i], cfloat(7.0f, 7.0f)) << h << "x" << w << " wrote past the end";
+  }
+}
+
 TEST(FourierUpsample, PreservesMean) {
   Prng rng(8);
   const std::size_t n = 8;
@@ -191,6 +208,135 @@ TEST(FourierUpsample, PreservesMean) {
   for (float v : in) m_in += v;
   for (float v : out) m_out += v;
   EXPECT_NEAR(m_in / in.size(), m_out / out.size(), 1e-4);
+}
+
+// ---------------------------------------------------------------------------
+// Line-pruned transforms: each computed line is bit-identical to the full
+// transform's.
+// ---------------------------------------------------------------------------
+
+std::vector<cfloat> random_spectrum(Prng& rng, std::size_t n) {
+  std::vector<cfloat> v(n);
+  for (auto& x : v)
+    x = {static_cast<float>(rng.uniform(-1, 1)), static_cast<float>(rng.uniform(-1, 1))};
+  return v;
+}
+
+TEST(Lines, MirroredWidenedAndRanges) {
+  const Lines run{60, 9};  // 60..63, 0..4 on a 64-line axis
+  EXPECT_TRUE(run.contains(63, 64));
+  EXPECT_TRUE(run.contains(4, 64));
+  EXPECT_FALSE(run.contains(5, 64));
+  EXPECT_FALSE(run.contains(59, 64));
+  const Lines m = run.mirrored(64);  // -63..-60 = 1..4, -4..0 = 60..63, 0
+  EXPECT_EQ(m.begin, 60u);
+  EXPECT_EQ(m.count, 9u);
+  for (std::size_t i = 0; i < 64; ++i)
+    EXPECT_EQ(m.contains(i, 64), run.contains((64 - i) % 64, 64)) << i;
+  const Lines w = Lines{5, 6}.widened(4, 64);  // 5..10 -> 4..11
+  EXPECT_EQ(w.begin, 4u);
+  EXPECT_EQ(w.count, 8u);
+  EXPECT_EQ((Lines{1, 62}.widened(4, 64).count), 64u);
+  EXPECT_EQ(Lines{}.mirrored(64).count, 0u);
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  for_each_range(run, 64, [&](std::size_t a, std::size_t b) { ranges.emplace_back(a, b); });
+  ASSERT_EQ(ranges.size(), 2u);
+  EXPECT_EQ(ranges[0], std::make_pair(std::size_t{60}, std::size_t{64}));
+  EXPECT_EQ(ranges[1], std::make_pair(std::size_t{0}, std::size_t{5}));
+}
+
+TEST(Fft2dPruned, ZeroRowsSkippedAndUnreadColumnsMatchFullTransform) {
+  Prng rng(21);
+  const std::size_t h = 64, w = 32;
+  for (const bool inverse : {false, true}) {
+    for (const Lines rows : {Lines{0, 64}, Lines{50, 29}, Lines{3, 1}}) {
+      for (const Lines cols : {Lines{0, 32}, Lines{28, 12}, Lines{8, 5}}) {
+        std::vector<cfloat> full = random_spectrum(rng, h * w);
+        for (std::size_t r = 0; r < h; ++r)
+          if (!rows.contains(r, h))
+            std::fill(full.begin() + r * w, full.begin() + (r + 1) * w, cfloat{});
+        std::vector<cfloat> pruned = full;
+        fft_2d(full.data(), h, w, inverse);
+        fft_2d(pruned.data(), h, w, inverse, rows, cols);
+        for (std::size_t r = 0; r < h; ++r)
+          for (std::size_t c = 0; c < w; ++c) {
+            if (!cols.contains(c, w)) continue;
+            ASSERT_EQ(0, std::memcmp(&full[r * w + c], &pruned[r * w + c], sizeof(cfloat)))
+                << "inverse=" << inverse << " rows=" << rows.begin << "+" << rows.count
+                << " cols=" << cols.begin << "+" << cols.count << " at " << r << "," << c;
+          }
+      }
+    }
+  }
+}
+
+TEST(RealFftPruned, ReadColumnsAndMirrorsMatchFullTransform) {
+  Prng rng(22);
+  const std::size_t n = 128;
+  std::vector<float> x(n * n);
+  for (auto& v : x) v = static_cast<float>(rng.uniform(-1, 1));
+  std::vector<cfloat> full(n * n), pruned(n * n);
+  rfft_2d(x.data(), full.data(), n, n);
+  const std::size_t cols = 32;  // a 64-point band window's crop
+  rfft_2d(x.data(), pruned.data(), n, n, cols);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) {
+      if (c >= cols && c < n - cols + 1) continue;  // unread
+      ASSERT_EQ(0, std::memcmp(&full[r * n + c], &pruned[r * n + c], sizeof(cfloat)))
+          << r << "," << c;
+    }
+}
+
+TEST(RealFftPruned, InverseSkippingZeroColumnsMatchesFullTransform) {
+  Prng rng(23);
+  // (n, cols): the fold-pad inverse at 128 / reach 15, the 64 -> 128 and
+  // 128 -> 1024 upsample inverses.
+  for (const auto& [n, cols] : {std::pair<std::size_t, std::size_t>{128, 16},
+                                {128, 33}, {1024, 65}}) {
+    std::vector<cfloat> spec = random_spectrum(rng, n * n);
+    for (std::size_t r = 0; r < n; ++r)
+      std::fill(spec.begin() + r * n + cols, spec.begin() + r * n + n / 2 + 1, cfloat{});
+    std::vector<cfloat> full_spec = spec;
+    std::vector<float> full(n * n), pruned(n * n);
+    irfft_2d(full_spec.data(), full.data(), n, n);
+    irfft_2d(spec.data(), pruned.data(), n, n, cols);
+    EXPECT_EQ(0, std::memcmp(full.data(), pruned.data(), n * n * sizeof(float)))
+        << "n=" << n << " cols=" << cols;
+  }
+}
+
+TEST(FourierUpsample, PrunedInverseMatchesFullPaddedSpectrum) {
+  // The reference pads into a fully zeroed spectrum, writes every image
+  // (including the ones only the Hermitian upper half holds) and inverts
+  // all W/2 + 1 columns.
+  Prng rng(24);
+  for (const auto& [n, factor] :
+       {std::pair<std::size_t, std::size_t>{64, 2}, {128, 8}}) {
+    std::vector<float> in(n * n);
+    for (auto& v : in) v = static_cast<float>(rng.uniform(0, 1));
+    const std::size_t on = n * factor, hn = n / 2;
+    std::vector<cfloat> small(n * n), big(on * on);
+    rfft_2d(in.data(), small.data(), n, n);
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t ro = r <= hn ? r : on - (n - r);
+      for (std::size_t c = 0; c < n; ++c) {
+        const std::size_t co = c <= hn ? c : on - (n - c);
+        cfloat v = small[r * n + c];
+        if (r == hn) v *= 0.5f;
+        if (c == hn) v *= 0.5f;
+        big[ro * on + co] += v;
+        if (r == hn) big[(on - hn) * on + co] += v;
+        if (c == hn) big[ro * on + (on - hn)] += v;
+        if (r == hn && c == hn) big[(on - hn) * on + (on - hn)] += v;
+      }
+    }
+    std::vector<float> want(on * on);
+    irfft_2d(big.data(), want.data(), on, on);
+    for (auto& v : want) v *= static_cast<float>(factor * factor);
+    const std::vector<float> got = fourier_upsample_2d(in, n, n, factor);
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(float)))
+        << n << " x" << factor;
+  }
 }
 
 }  // namespace

@@ -223,6 +223,63 @@ TEST(FftKernelConformance, FftInplaceMatchesScalar) {
   }
 }
 
+TEST(FftKernelConformance, ColumnsMatchPerLineKernelBitwise) {
+  // The across-lines kernel must reproduce, per arm and bit for bit, the
+  // per-line kernel run on a gathered copy of each column: any remainder of
+  // 0-3 columns past the last group of four, unaligned first columns, and
+  // columns outside the range left untouched.
+  Prng rng(206);
+  std::vector<SimdLevel> arms = {SimdLevel::kScalar};
+  if (have_avx2()) arms.push_back(SimdLevel::kAvx2);
+  for (const SimdLevel lvl : arms) {
+    const auto line = fft::fft_inplace_for(lvl);
+    const auto columns = fft::fft_columns_for(lvl);
+    for (std::size_t n = 2; n <= 1024; n *= 2) {
+      const fft::FftPlan& plan = fft::plan_for(n);
+      for (const std::size_t count : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 13u}) {
+        for (const std::size_t first : {0u, 1u, 3u}) {
+          const std::size_t stride = first + count + 2;
+          for (const bool inverse : {false, true}) {
+            const std::vector<cfloat> x = random_complex(rng, n * stride);
+            std::vector<cfloat> got = x, want = x;
+            columns(got.data() + first, stride, count, plan, inverse);
+            std::vector<cfloat> col(n);
+            for (std::size_t l = first; l < first + count; ++l) {
+              for (std::size_t i = 0; i < n; ++i) col[i] = want[i * stride + l];
+              line(col.data(), plan, inverse);
+              for (std::size_t i = 0; i < n; ++i) want[i * stride + l] = col[i];
+            }
+            ASSERT_EQ(0, std::memcmp(got.data(), want.data(), x.size() * sizeof(cfloat)))
+                << simd_level_name(lvl) << " n=" << n << " count=" << count
+                << " first=" << first << " inverse=" << inverse;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FftKernelConformance, ColumnsMatchScalar) {
+  SKIP_WITHOUT_AVX2();
+  const auto sc = fft::fft_columns_for(SimdLevel::kScalar);
+  const auto vx = fft::fft_columns_for(SimdLevel::kAvx2);
+  Prng rng(207);
+  for (std::size_t n = 2; n <= 1024; n *= 2) {
+    const fft::FftPlan& plan = fft::plan_for(n);
+    for (const std::size_t count : {3u, 4u, 9u}) {
+      for (const bool inverse : {false, true}) {
+        const std::vector<cfloat> x = random_complex(rng, n * count);
+        std::vector<cfloat> as = x, av = x;
+        sc(as.data(), count, count, plan, inverse);
+        vx(av.data(), count, count, plan, inverse);
+        const float scale = std::max(max_mag(as.data(), as.size()), 1e-6f);
+        EXPECT_LE(max_abs_diff(as.data(), av.data(), as.size()), 1e-5f * scale)
+            << "n=" << n << " count=" << count << " inverse=" << inverse;
+      }
+    }
+  }
+}
+
 TEST(FftKernelConformance, VecOpsMatchScalar) {
   SKIP_WITHOUT_AVX2();
   const fft::VecOps& sc = fft::vec_ops(SimdLevel::kScalar);

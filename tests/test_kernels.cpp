@@ -2,8 +2,12 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/prng.hpp"
+#include "litho/backend.hpp"
 #include "litho/kernels.hpp"
 
 namespace ganopc::litho {
@@ -150,6 +154,99 @@ TEST(Kernels, DefocusAddsPhase) {
     if (std::abs(hf[i]) > 0.5f && std::abs(hf[i] - hd[i]) > 1e-3f) phase_differs = true;
   }
   EXPECT_TRUE(phase_differs);
+}
+
+// ---------------------------------------------------------------------------
+// Band supports and the line-pruned band transforms that read them
+// ---------------------------------------------------------------------------
+
+using cfloat = std::complex<float>;
+
+/// The three band-grid regimes: Abbe at M < N (128^2 / 16 nm, M = 64), TCC
+/// at M = N, and the golden tier's default optics at 32^2 / 32 nm.
+std::vector<SocsKernels> support_cases() {
+  std::vector<SocsKernels> sets;
+  sets.emplace_back(OpticsConfig{}, 128, 16);
+  sets.push_back(make_litho_backend(parse_litho_backend("tcc:8"))
+                     ->build(OpticsConfig{}, 128, 16));
+  sets.emplace_back(OpticsConfig{}, 32, 32);
+  return sets;
+}
+
+/// |signed frequency| of unshifted bin i on an m-point axis.
+std::int32_t abs_freq(std::size_t i, std::size_t m) {
+  return static_cast<std::int32_t>(i <= m / 2 ? i : m - i);
+}
+
+TEST(Kernels, BandSupportHoldsEveryNonzeroBin) {
+  const std::vector<SocsKernels> sets = support_cases();
+  ASSERT_LT(sets[0].band_grid(), sets[0].grid_size());
+  ASSERT_EQ(sets[1].band_grid(), sets[1].grid_size());
+  ASSERT_EQ(sets[2].band_grid(), sets[2].grid_size());
+  for (const SocsKernels& k : sets) {
+    const auto m = static_cast<std::size_t>(k.band_grid());
+    for (int i = 0; i < k.count(); ++i) {
+      const SocsKernels::BandSupport& s = k.band_support(i);
+      const fft::Lines frows = s.rows.mirrored(m), fcols = s.cols.mirrored(m);
+      const auto& band = k.band_kernel(i);
+      const auto& flip = k.band_kernel_flipped(i);
+      bool first_row = false, last_row = false;
+      for (std::size_t r = 0; r < m; ++r)
+        for (std::size_t c = 0; c < m; ++c) {
+          if (band[r * m + c] != cfloat{}) {
+            ASSERT_TRUE(s.rows.contains(r, m) && s.cols.contains(c, m))
+                << "grid " << k.grid_size() << " kernel " << i << " bin " << r << "," << c;
+            first_row |= r == s.rows.begin;
+            last_row |= r == (s.rows.begin + s.rows.count - 1) % m;
+            EXPECT_LE(std::max(abs_freq(r, m), abs_freq(c, m)), k.band_reach());
+          }
+          if (flip[r * m + c] != cfloat{}) {
+            ASSERT_TRUE(frows.contains(r, m) && fcols.contains(c, m))
+                << "grid " << k.grid_size() << " flipped kernel " << i << " bin " << r
+                << "," << c;
+          }
+        }
+      // The recorded run is tight: its end rows hold kernel bins.
+      EXPECT_TRUE(first_row && last_row) << "grid " << k.grid_size() << " kernel " << i;
+    }
+  }
+}
+
+TEST(Kernels, PrunedBandTransformsMatchFullOnes) {
+  // The field IFFT skips the rows outside the kernel's support; the adjoint
+  // FFT computes only the flipped kernel's columns (widened to groups of
+  // four). Each line they compute must equal the full transform's bitwise.
+  Prng rng(31);
+  for (const SocsKernels& k : support_cases()) {
+    const auto m = static_cast<std::size_t>(k.band_grid());
+    for (int i = 0; i < k.count(); i += 3) {
+      const SocsKernels::BandSupport& s = k.band_support(i);
+      std::vector<cfloat> field(m * m);
+      const auto& hat = k.band_kernel(i);
+      for (std::size_t j = 0; j < m * m; ++j)
+        field[j] = hat[j] * cfloat(static_cast<float>(rng.uniform(-1, 1)),
+                                   static_cast<float>(rng.uniform(-1, 1)));
+      std::vector<cfloat> full = field;
+      fft::fft_2d(full.data(), m, m, true);
+      fft::fft_2d(field.data(), m, m, true, s.rows, fft::Lines::all(m));
+      EXPECT_EQ(0, std::memcmp(full.data(), field.data(), m * m * sizeof(cfloat)))
+          << "field, grid " << k.grid_size() << " kernel " << i;
+
+      std::vector<cfloat> adj(m * m);
+      for (auto& v : adj)
+        v = {static_cast<float>(rng.uniform(-1, 1)), static_cast<float>(rng.uniform(-1, 1))};
+      full = adj;
+      const fft::Lines cols = s.cols.mirrored(m).widened(4, m);
+      fft::fft_2d(full.data(), m, m, false);
+      fft::fft_2d(adj.data(), m, m, false, fft::Lines::all(m), cols);
+      for (std::size_t r = 0; r < m; ++r)
+        fft::for_each_range(cols, m, [&](std::size_t a, std::size_t b) {
+          const std::size_t i = r * m + a;
+          EXPECT_EQ(0, std::memcmp(&full[i], &adj[i], (b - a) * sizeof(cfloat)))
+              << "adjoint, grid " << k.grid_size() << " kernel " << i << " row " << r;
+        });
+    }
+  }
 }
 
 }  // namespace

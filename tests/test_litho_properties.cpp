@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/parallel.hpp"
 #include "common/prng.hpp"
 #include "geometry/bitmap_ops.hpp"
 #include "litho/lithosim.hpp"
@@ -141,6 +143,45 @@ TEST(LithoProperties, GradientIsDeterministic) {
   const geom::Grid g1 = sim.gradient(mask, target);
   const geom::Grid g2 = sim.gradient(mask, target);
   EXPECT_EQ(g1.data, g2.data);
+}
+
+TEST(LithoProperties, InterleavedSimulatorsMatchFreshOnes) {
+  // Each simulator's band supports live in its own kernel set: two sims with
+  // different optics and band grids, called alternately on one thread (so
+  // they share the thread's workspace and its column-tile scratch), must
+  // reproduce what a fresh simulator computes for each.
+  ThreadPool::reset(1);
+  OpticsConfig other;
+  other.num_kernels = 12;
+  other.sigma_inner = 0.3;
+  other.defocus_nm = 40.0;
+  const auto sim_a = [] { return LithoSim(OpticsConfig{}, ResistConfig{}, 128, 16); };
+  const auto sim_b = [&] { return LithoSim(other, ResistConfig{}, 64, 16); };
+  Prng rng(77);
+  const geom::Grid mask_a = random_mask(128, 16, rng), target_a = random_mask(128, 16, rng);
+  const geom::Grid mask_b = random_mask(64, 16, rng), target_b = random_mask(64, 16, rng);
+  struct Out {
+    geom::Grid aerial, grad;
+  };
+  const auto run = [](const LithoSim& sim, const geom::Grid& mask, const geom::Grid& target) {
+    return Out{sim.aerial(mask), sim.gradient(mask, target)};
+  };
+  const Out fresh_a = run(sim_a(), mask_a, target_a);
+  const Out fresh_b = run(sim_b(), mask_b, target_b);
+  const LithoSim a = sim_a(), b = sim_b();
+  for (int round = 0; round < 2; ++round)
+    for (const auto& [sim, mask, target, fresh] :
+         {std::tie(a, mask_a, target_a, fresh_a), std::tie(b, mask_b, target_b, fresh_b)}) {
+      const Out got = run(sim, mask, target);
+      ASSERT_EQ(got.aerial.data.size(), fresh.aerial.data.size());
+      EXPECT_EQ(0, std::memcmp(got.aerial.data.data(), fresh.aerial.data.data(),
+                               got.aerial.data.size() * sizeof(float)))
+          << "aerial, grid " << sim.grid_size() << " round " << round;
+      EXPECT_EQ(0, std::memcmp(got.grad.data.data(), fresh.grad.data.data(),
+                               got.grad.data.size() * sizeof(float)))
+          << "gradient, grid " << sim.grid_size() << " round " << round;
+    }
+  ThreadPool::reset(ThreadPool::default_thread_count());
 }
 
 }  // namespace

@@ -188,8 +188,9 @@ TEST(ObsExport, PrometheusIsWellFormedAndStable) {
     ASSERT_NE(eol, std::string::npos) << "missing trailing newline";
     const std::string line = text.substr(pos, eol - pos);
     ASSERT_FALSE(line.empty());
-    if (line[0] != '#')
+    if (line[0] != '#') {
       EXPECT_NE(line.find(' '), std::string::npos) << "bad line: " << line;
+    }
     pos = eol + 1;
   }
   // Stable: exporting the same snapshot twice is byte-identical.

@@ -55,15 +55,20 @@ TEST(ProcObs, CleanTasksMergeExactCountersIntoSupervisor) {
     tasks.push_back(Task{"t" + std::to_string(i), "p", 0.0, 0, 0});
 
   // Deltas ship on the result pipe *before* each kResult frame, so by the
-  // time on_result fires the supervisor registry already reflects that
-  // task — and the counter only ever grows.
-  std::uint64_t last_seen = 0;
+  // time the k-th on_result fires the supervisor registry already reflects
+  // that task and every earlier one: >= 10 k — and the counter only ever
+  // grows. It may run ahead of k: with two workers, a later task's delta can
+  // be merged while an earlier task's kResult frame is still in flight on
+  // the other worker's pipe; nothing orders frames across workers.
+  std::uint64_t last_seen = 0, callbacks = 0;
   Supervisor sup(cfg, fn);
   const std::vector<TaskResult> results = sup.run(
       tasks, [&](const TaskResult& r) {
         ASSERT_EQ(r.error, "");
         const std::uint64_t now = work.value();
-        EXPECT_GE(now, last_seen + 10);
+        ++callbacks;
+        EXPECT_GE(now, 10 * callbacks);
+        EXPECT_GE(now, last_seen);
         last_seen = now;
       });
 

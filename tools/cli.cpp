@@ -66,6 +66,9 @@
 //                        metrics snapshot; arms the flight recorder, which
 //                        dumps FILE.crash.json on watchdog/fatal exits
 // all default-off; enabling them costs one atomic flag check per site.
+// `ganopc [<cmd>] --help` (or -h) prints the usage and exits 0; a malformed
+// flag list (a bare word where a --flag belongs, a flag without its value)
+// prints it to stderr and exits 2.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -73,6 +76,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -104,16 +108,30 @@ namespace {
 
 using namespace ganopc;
 
+/// A malformed command line: main prints the usage and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+bool is_help_flag(const std::string& arg) { return arg == "--help" || arg == "-h"; }
+
 class Args {
  public:
   Args(int argc, char** argv, int first) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
-      GANOPC_CHECK_MSG(key.rfind("--", 0) == 0, "expected --flag, got '" << key << "'");
-      GANOPC_CHECK_MSG(i + 1 < argc, "missing value for " << key);
+      if (is_help_flag(key)) {
+        help_ = true;
+        continue;
+      }
+      if (key.rfind("--", 0) != 0) throw UsageError("expected --flag, got '" + key + "'");
+      if (i + 1 >= argc) throw UsageError("missing value for " + key);
       values_[key.substr(2)] = argv[++i];
     }
   }
+
+  /// --help or -h appeared in a flag position.
+  bool help() const { return help_; }
 
   std::string get(const std::string& key, const std::string& fallback = "") const {
     auto it = values_.find(key);
@@ -143,6 +161,7 @@ class Args {
  private:
   std::map<std::string, std::string> values_;
   bool allow_empty_ = true;
+  bool help_ = false;
 };
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -537,8 +556,8 @@ int cmd_gds2txt(const Args& args) {
   return 0;
 }
 
-void usage() {
-  std::fprintf(stderr,
+void usage(std::FILE* out = stderr) {
+  std::fprintf(out,
                "usage: ganopc <synth|sraf|eval|train|optimize|batch|serve|txt2gds|gds2txt>\n"
                "              [--flag value ...]\n"
                "global flags: --metrics-out FILE (Prometheus text, or JSON when\n"
@@ -662,8 +681,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
+  if (is_help_flag(cmd)) {
+    usage(stdout);
+    return 0;
+  }
   try {
     const Args args(argc, argv, 2);
+    if (args.help()) {
+      usage(stdout);
+      return 0;
+    }
     const ObsSink obs_sink(args);
     LedgerSink ledger(cmd, args, argc, argv);
     try {
@@ -674,6 +701,10 @@ int main(int argc, char** argv) {
       ledger.fail(e);
       throw;
     }
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    usage();
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -7,7 +7,8 @@
 //                       pv_band stage timings + FFT plan-cache hit rate
 //   BENCH_ilt.json    — ilt.optimize timing, iteration count, terminations
 //   BENCH_layers.json — the layers under those stages: complex 2-D FFT
-//                       pairs, square SGEMM, generator inference and the
+//                       pairs, pv_band's upsample, the gradient's dE/dI
+//                       pass, square SGEMM, generator inference and the
 //                       fused 3-dose gradient (DESIGN.md §10 lists the rows)
 // The litho and ILT files also carry "[tcc]"-labeled rows: the same workload
 // through the truncated-TCC backend (`tcc:8`), so the serving backend's cost
@@ -38,6 +39,7 @@
 #include "ilt/ilt.hpp"
 #include "litho/backend.hpp"
 #include "litho/lithosim.hpp"
+#include "litho/resist_kernels.hpp"
 #include "nn/gemm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -292,6 +294,20 @@ int main(int argc, char** argv) {
     layer("fft.upsample_2d", "128x8", [&] {
       fft::fourier_upsample_into(in.data(), n, n, factor, small_spec.data(),
                                  big_spec.data(), fine.data());
+    });
+  }
+  {
+    // The gradient's dE/dI pass (one dose corner, the dispatched arm) over
+    // a 128^2 aerial image straddling the resist threshold.
+    const std::size_t npx = 128 * 128;
+    Prng rng(5);
+    std::vector<float> intensity(npx), target(npx), x(npx);
+    for (auto& v : intensity) v = static_cast<float>(rng.uniform(0, 1));
+    for (auto& v : target) v = rng.uniform(0, 1) < 0.5 ? 0.0f : 1.0f;
+    const litho::ResistGradFn resist_grad = litho::resist_grad();
+    layer("litho.resist_grad", "128", [&] {
+      resist_grad(intensity.data(), target.data(), sim.sigmoid_alpha(), 1.0f, sim.threshold(),
+                  x.data(), npx);
     });
   }
   for (const std::size_t n : {64, 128, 256}) {

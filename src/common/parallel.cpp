@@ -127,6 +127,10 @@ void ThreadPool::parallel_blocks(
   }
 }
 
+std::size_t parallel_width() {
+  return tls_in_worker ? 1 : ThreadPool::instance().size();
+}
+
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t serial_threshold) {

@@ -68,6 +68,10 @@ class ThreadPool {
   std::exception_ptr first_error_;
 };
 
+/// Blocks a parallel_blocks call from this thread fans out to: the shared
+/// pool's size, or 1 inside a pool task, where nested calls run serially.
+std::size_t parallel_width();
+
 /// Parallel loop over [begin, end): body(i) for each index.
 /// Falls back to serial execution for small ranges.
 void parallel_for(std::size_t begin, std::size_t end,

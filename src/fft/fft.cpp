@@ -232,16 +232,6 @@ void fftshift_2d(std::vector<cfloat>& data, std::size_t height, std::size_t widt
   }
 }
 
-std::vector<float> fourier_upsample_2d(const std::vector<float>& in, std::size_t height,
-                                       std::size_t width, std::size_t factor) {
-  GANOPC_CHECK(in.size() == height * width);
-  std::vector<float> out(in.size() * factor * factor);
-  std::vector<cfloat> small_spec(in.size()), big_spec(out.size());
-  fourier_upsample_into(in.data(), height, width, factor, small_spec.data(),
-                        big_spec.data(), out.data());
-  return out;
-}
-
 void fourier_upsample_into(const float* in, std::size_t height, std::size_t width,
                            std::size_t factor, cfloat* small_spec, cfloat* big_spec,
                            float* out) {

@@ -114,18 +114,14 @@ void irfft_2d(cfloat* spec, float* out, std::size_t height, std::size_t width,
 /// fftshift: move zero-frequency component to grid center (even dims only).
 void fftshift_2d(std::vector<cfloat>& data, std::size_t height, std::size_t width);
 
-/// Band-limited (Fourier zero-padding) up-sampling of a real grid by an
-/// integer factor. Exact for signals whose spectrum vanishes above the input
-/// Nyquist — true of aerial images, whose bandwidth is set by the pupil.
-/// Output is (h*factor) x (w*factor); values reproduce the input at the
-/// original sample points up to FFT round-off.
-std::vector<float> fourier_upsample_2d(const std::vector<float>& in, std::size_t height,
-                                       std::size_t width, std::size_t factor);
-
-/// fourier_upsample_2d into caller-owned buffers, allocating nothing:
+/// Band-limited (Fourier zero-padding) up-sampling of a real height x width
+/// grid by an integer factor, into caller-owned buffers (allocating nothing):
 /// `small_spec` holds height*width bins, `big_spec` and `out` hold
-/// (height*factor)*(width*factor) values. Both spectra are clobbered. The
-/// padded spectrum is nonzero in only width/2 + 1 of its (width*factor)/2 + 1
+/// (height*factor)*(width*factor) values. Both spectra are clobbered. Exact
+/// for signals whose spectrum vanishes above the input Nyquist — true of
+/// aerial images, whose bandwidth is set by the pupil; `out` reproduces the
+/// input at the original sample points up to FFT round-off. The padded
+/// spectrum is nonzero in only width/2 + 1 of its (width*factor)/2 + 1
 /// half-spectrum columns, and the inverse transforms only those.
 void fourier_upsample_into(const float* in, std::size_t height, std::size_t width,
                            std::size_t factor, cfloat* small_spec, cfloat* big_spec,

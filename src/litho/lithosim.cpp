@@ -10,6 +10,7 @@
 #include "common/status.hpp"
 #include "fft/fft.hpp"
 #include "fft/fft_kernels.hpp"
+#include "litho/resist_kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -81,26 +82,75 @@ void fold_pad_spectrum(const cfloat* band, std::size_t m, cfloat* full, std::siz
   }
 }
 
+// Kernels per group of the SOCS passes (for_each_kernel_group). On one
+// thread kernels go one at a time: each coherent field or adjoint spectrum is
+// added into the sum while it is still in cache, and one scratch buffer is
+// live instead of N_h (all N_h first streamed ~3 MB per gradient through a
+// 2 MB L2). On a pool all N_h form one group — one dispatch for the
+// transforms, one for the sum — since a dispatch per group of pool-size
+// kernels costs more than the cache gain (EXPERIMENTS.md).
+std::size_t kernel_group_width(std::size_t num_k) {
+  return parallel_width() == 1 ? 1 : num_k;
+}
+
+// Kernel-major loop of the SOCS passes. transform(k, slot) forms kernel k's
+// product and band transform in scratch slot k - (group start); a group's
+// transforms run one kernel per pool worker, where the nested FFT parallelism
+// degrades to serial (no oversubscription), and a lone kernel runs on the
+// caller with its transform parallel over lines. accumulate(k, slot, b, e)
+// then adds kernel k into the sum over index range [b, e); each chunk of the
+// range takes the group's kernels in ascending k. Every pixel therefore sums
+// its kernels in ascending k whatever the grouping, and chunk bounds are
+// quantum-aligned (parallel_for_chunks), so the output is bit-identical at
+// any thread count.
+template <typename Transform, typename Accumulate>
+void for_each_kernel_group(std::size_t num_k, std::size_t width, std::size_t range,
+                           std::size_t serial_threshold, Transform&& transform,
+                           Accumulate&& accumulate) {
+  for (std::size_t kb = 0; kb < num_k; kb += width) {
+    const std::size_t ke = std::min(num_k, kb + width);
+    if (ke - kb == 1) {
+      transform(kb, std::size_t{0});
+    } else {
+      ThreadPool::instance().parallel_blocks(
+          ke - kb, [&](std::size_t /*block*/, std::size_t b, std::size_t e) {
+            for (std::size_t i = b; i < e; ++i) transform(kb + i, i);
+          });
+    }
+    parallel_for_chunks(0, range, [&](std::size_t b, std::size_t e) {
+      for (std::size_t k = kb; k < ke; ++k) accumulate(k, k - kb, b, e);
+    }, serial_threshold);
+  }
+}
+
 // The one SOCS forward implementation (Eq. 2), on the kernels' band grid
 // (M = band_grid()): full-grid mask FFT cropped to the band, per-kernel
-// coherent fields A_k = IFFT_M(H_k_hat .* mask_hat) parallelized over
-// kernels (the row pass skips the rows outside H_k's support, which the
-// product leaves zero), then the intensity I = sum_k w_k |A_k|^2 reduced
-// per pixel in ascending-k order and Fourier-upsampled to the full grid. |A_k|^2 spans
-// fewer than M bins per axis, so the band-grid samples determine I exactly.
-// At M = N the crop and upsample are skipped. Blocks only partition
-// pixels/kernels — every thread count produces bit-identical output. Shared
-// by LithoSim::aerial, the gradient's forward pass and threshold
+// coherent fields A_k = IFFT_M(H_k_hat .* mask_hat), each group of them
+// added into I = sum_k w_k |A_k|^2 per pixel in ascending-k order
+// (for_each_kernel_group), then I is Fourier-upsampled to the full grid.
+// H_k_hat is zero outside its support box, so the product is formed on the
+// box only (its columns widened to whole vectors, as a full-length product
+// would group them) and the rest of the field is zeroed: the kernel table is
+// read where it is nonzero only, and the row pass skips the zero rows. Where
+// the full product left a signed zero the field holds +0, which can change
+// only the sign of an exactly zero output (fft.hpp line pruning).
+// |A_k|^2 spans fewer than M bins per axis, so the band-grid samples
+// determine I exactly. At M = N the crop and upsample are skipped.
+// `keep_fields` keeps every A_k in ws.fields[k] for the gradient's adjoint;
+// otherwise one group's worth of field scratch is reused. Shared by
+// LithoSim::aerial, the gradient's forward pass and threshold
 // calibration, so tests cover one implementation.
 void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
-                  geom::Grid& aerial_image, LithoWorkspace& ws) {
+                  geom::Grid& aerial_image, LithoWorkspace& ws, bool keep_fields) {
   const std::int32_t n = kernels.grid_size();
   const auto un = static_cast<std::size_t>(n);
   const auto um = static_cast<std::size_t>(kernels.band_grid());
   const bool banded = um < un;
   const std::size_t mpx = um * um;
-  const int num_k = kernels.count();
-  if (ws.ensure_forward(num_k, mpx, un * un) && obs::metrics_enabled())
+  const auto num_k = static_cast<std::size_t>(kernels.count());
+  const std::size_t width = kernel_group_width(num_k);
+  if (ws.ensure_forward(keep_fields ? num_k : width, kernels.count(), mpx, un * un) &&
+      obs::metrics_enabled())
     obs::counter("litho.workspace.grows").inc();
 
   // Masks are real, so the forward transform runs the half-cost real-input
@@ -113,35 +163,39 @@ void socs_forward(const SocsKernels& kernels, const geom::Grid& mask,
     fft::rfft_2d(mask.data.data(), ws.mask_hat.data(), un, un);
   }
 
-  for (int k = 0; k < num_k; ++k) ws.weights[static_cast<std::size_t>(k)] = kernels.weight(k);
-
-  const fft::VecOps& ops = fft::vec_ops();
-  // Coherent fields: one kernel per unit of work; each worker's nested FFT
-  // parallelism degrades to serial inside the pool (no oversubscription).
-  ThreadPool::instance().parallel_blocks(
-      static_cast<std::size_t>(num_k),
-      [&](std::size_t /*block*/, std::size_t kb, std::size_t ke) {
-        for (std::size_t k = kb; k < ke; ++k) {
-          auto& field = ws.fields[k];
-          const int kk = static_cast<int>(k);
-          ops.cmul(ws.mask_hat.data(), kernels.band_kernel(kk).data(), field.data(), mpx);
-          fft::fft_2d(field.data(), um, um, true, kernels.band_support(kk).rows,
-                      fft::Lines::all(um));
-        }
-      });
+  for (std::size_t k = 0; k < num_k; ++k) ws.weights[k] = kernels.weight(static_cast<int>(k));
 
   reshape_like(aerial_image, n, kernels.pixel_nm(), mask);
   float* intensity = banded ? ws.band_real.data() : aerial_image.data.data();
-  parallel_for_chunks(0, mpx, [&](std::size_t b, std::size_t e) {
-    double* acc = ws.acc.data();
-    std::fill(acc + b, acc + e, 0.0);
-    for (int k = 0; k < num_k; ++k) {
-      const double w = ws.weights[static_cast<std::size_t>(k)];
-      const cfloat* f = ws.fields[static_cast<std::size_t>(k)].data();
-      ops.norm_weighted_accum(f + b, w, acc + b, e - b);
-    }
-    for (std::size_t i = b; i < e; ++i) intensity[i] = static_cast<float>(acc[i]);
-  }, /*serial_threshold=*/1024);
+  double* acc = ws.acc.data();
+  std::fill(acc, acc + mpx, 0.0);
+  const fft::VecOps& ops = fft::vec_ops();
+  const auto field = [&](std::size_t k, std::size_t slot) {
+    return ws.fields[keep_fields ? k : slot].data();
+  };
+  for_each_kernel_group(
+      num_k, width, mpx, /*serial_threshold=*/1024,
+      [&](std::size_t k, std::size_t slot) {
+        cfloat* f = field(k, slot);
+        const int kk = static_cast<int>(k);
+        const SocsKernels::BandSupport& support = kernels.band_support(kk);
+        const fft::Lines cols = um < 4 ? fft::Lines::all(um) : support.cols.widened(4, um);
+        const cfloat* hat = kernels.band_kernel(kk).data();
+        for (std::size_t r = 0; r < um; ++r) {
+          cfloat* row = f + r * um;
+          std::fill(row, row + um, cfloat{});
+          if (!support.rows.contains(r, um)) continue;
+          fft::for_each_range(cols, um, [&](std::size_t a, std::size_t b) {
+            const std::size_t i = r * um + a;
+            ops.cmul(ws.mask_hat.data() + i, hat + i, row + a, b - a);
+          });
+        }
+        fft::fft_2d(f, um, um, true, support.rows, fft::Lines::all(um));
+      },
+      [&](std::size_t k, std::size_t slot, std::size_t b, std::size_t e) {
+        ops.norm_weighted_accum(field(k, slot) + b, ws.weights[k], acc + b, e - b);
+      });
+  for (std::size_t i = 0; i < mpx; ++i) intensity[i] = static_cast<float>(acc[i]);
   if (banded)
     fft::fourier_upsample_into(intensity, um, um, un / um, ws.band_spec.data(),
                                ws.spec.data(), aerial_image.data.data());
@@ -159,7 +213,7 @@ float calibrate_threshold(const SocsKernels& kernels) {
 
   geom::Grid intensity;
   LithoWorkspace ws;
-  socs_forward(kernels, stripe, intensity, ws);
+  socs_forward(kernels, stripe, intensity, ws, /*keep_fields=*/false);
   // The geometric edge lies between pixel centers c0-1 and c0; average the
   // two along the stripe's mid row.
   const float* mid = intensity.data.data() + static_cast<std::size_t>(n / 2) * n;
@@ -167,6 +221,8 @@ float calibrate_threshold(const SocsKernels& kernels) {
 }
 
 }  // namespace
+
+const LithoWorkspace& thread_workspace() { return tls_workspace(); }
 
 LithoSim::LithoSim(const OpticsConfig& optics, const ResistConfig& resist,
                    std::int32_t grid_size, std::int32_t pixel_nm)
@@ -193,7 +249,7 @@ geom::Grid LithoSim::aerial(const geom::Grid& mask) const {
   GANOPC_OBS_SPAN("litho.aerial");
   check_geometry(mask);
   geom::Grid out;
-  socs_forward(kernels_, mask, out, tls_workspace());
+  socs_forward(kernels_, mask, out, tls_workspace(), /*keep_fields=*/false);
   return out;
 }
 
@@ -244,7 +300,7 @@ LithoSim::ForwardResult LithoSim::forward_relaxed(const geom::Grid& mask_b,
   check_geometry(target);
   GANOPC_CHECK(dose > 0.0f);
   ForwardResult result;
-  socs_forward(kernels_, mask_b, result.aerial_image, tls_workspace());
+  socs_forward(kernels_, mask_b, result.aerial_image, tls_workspace(), /*keep_fields=*/false);
   result.wafer_relaxed = relaxed_wafer(result.aerial_image, dose);
   double err = 0.0;
   for (std::size_t i = 0; i < target.data.size(); ++i) {
@@ -268,12 +324,13 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
   const auto um = static_cast<std::size_t>(kernels_.band_grid());
   const bool banded = um < un;
   const std::size_t npx = un * un, mpx = um * um;
-  const int num_k = kernels_.count();
+  const auto num_k = static_cast<std::size_t>(kernels_.count());
+  const std::size_t width = kernel_group_width(num_k);
+  if (ws.ensure_adjoint(width, mpx, npx) && obs::metrics_enabled())
+    obs::counter("litho.workspace.grows").inc();
 
   // Forward fields A_k are computed once and shared by every dose corner.
-  socs_forward(kernels_, mask_b, ws.aerial_scratch, ws);
-  if (ws.ensure_adjoint(num_k, mpx, npx) && obs::metrics_enabled())
-    obs::counter("litho.workspace.grows").inc();
+  socs_forward(kernels_, mask_b, ws.aerial_scratch, ws, /*keep_fields=*/true);
 
   // dE/dM = sum_k w_k * 2 Re( (X .* conj(A_k)) correlated with h_k )
   //       = 2 Re( IFFT( sum_k w_k FFT(X .* conj(A_k)) .* H_k_hat(-f) ) ),
@@ -286,28 +343,24 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
   std::fill(sum, sum + mpx, cfloat{});
   const float alpha = resist_.sigmoid_alpha;
   const fft::VecOps& ops = fft::vec_ops();
+  const ResistGradFn resist_grad = litho::resist_grad();
   // Lines of the flipped kernel k's band spectrum the adjoint reads: its rows,
   // and its columns widened to groups of four (whole rows below M = 4, where
   // a group would not fit).
-  const auto adjoint_lines = [&](int k) {
-    const SocsKernels::BandSupport& s = kernels_.band_support(k);
+  const auto adjoint_lines = [&](std::size_t k) {
+    const SocsKernels::BandSupport& s = kernels_.band_support(static_cast<int>(k));
     if (um < 4) return SocsKernels::BandSupport{fft::Lines::all(um), fft::Lines::all(um)};
     return SocsKernels::BandSupport{s.rows.mirrored(um), s.cols.mirrored(um).widened(4, um)};
   };
-  // Dose corners accumulate serially (fixed order); within a dose, the
-  // per-kernel adjoint transforms are independent and the per-bin sum runs
-  // in ascending-k order — deterministic at any thread count.
+  // Dose corners accumulate serially (fixed order); within a dose, kernels
+  // run kernel-major (for_each_kernel_group) and each bin of S sums them in
+  // ascending k — deterministic at any thread count.
   for (const float dose : doses) {
     // X = dE/dI = 2 (Z - Z_t) .* alpha * dose * Z (1 - Z)   (real-valued);
     // the dose factor comes from Z = sigmoid(alpha (dose*I - I_th)).
     parallel_for_chunks(0, npx, [&](std::size_t b, std::size_t e) {
-      const float* intensity = ws.aerial_scratch.data.data();
-      float* x = ws.x.data();
-      for (std::size_t i = b; i < e; ++i) {
-        const float zi =
-            1.0f / (1.0f + std::exp(-alpha * (intensity[i] * dose - threshold_)));
-        x[i] = 2.0f * (zi - target.data[i]) * alpha * dose * zi * (1.0f - zi);
-      }
+      resist_grad(ws.aerial_scratch.data.data() + b, target.data.data() + b, alpha, dose,
+                  threshold_, ws.x.data() + b, e - b);
     }, /*serial_threshold=*/1024);
 
     // The adjoint reads X only through FFT(X .* conj(A_k)) on the flipped
@@ -322,40 +375,34 @@ void LithoSim::gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
     }
     // Only the bins where H_k_hat(-f) is nonzero are read back, so each
     // adjoint transform's column pass covers just the flipped kernel's
-    // columns, widened to whole groups of four so the accumulate below runs
-    // full vectors only; its rows are the flipped kernel's rows.
-    ThreadPool::instance().parallel_blocks(
-        static_cast<std::size_t>(num_k),
-        [&](std::size_t /*block*/, std::size_t kb, std::size_t ke) {
-          for (std::size_t k = kb; k < ke; ++k) {
-            auto& buf = ws.adjoint[k];
-            ops.cmul_conj_real(xb, ws.fields[k].data(), buf.data(), mpx);
-            fft::fft_2d(buf.data(), um, um, false, fft::Lines::all(um),
-                        adjoint_lines(static_cast<int>(k)).cols);
+    // columns, widened to whole groups of four so the accumulate runs full
+    // vectors only; its rows are the flipped kernel's rows.
+    for_each_kernel_group(
+        num_k, width, um, /*serial_threshold=*/1024 / um,
+        [&](std::size_t k, std::size_t slot) {
+          cfloat* buf = ws.adjoint[slot].data();
+          ops.cmul_conj_real(xb, ws.fields[k].data(), buf, mpx);
+          fft::fft_2d(buf, um, um, false, fft::Lines::all(um), adjoint_lines(k).cols);
+        },
+        [&](std::size_t k, std::size_t slot, std::size_t r0, std::size_t r1) {
+          const cfloat* buf = ws.adjoint[slot].data();
+          const cfloat* hat_flipped = kernels_.band_kernel_flipped(static_cast<int>(k)).data();
+          const float w = ws.weights[k];
+          const SocsKernels::BandSupport lines = adjoint_lines(k);
+          if (lines.cols.count == um) {
+            // Whole rows: one contiguous span (the only form at M < 4).
+            const std::size_t b = r0 * um, e = r1 * um;
+            ops.cmul_weighted_accum(buf + b, hat_flipped + b, w, sum + b, e - b);
+            return;
+          }
+          for (std::size_t r = r0; r < r1; ++r) {
+            if (!lines.rows.contains(r, um)) continue;
+            fft::for_each_range(lines.cols, um, [&](std::size_t a, std::size_t b) {
+              const std::size_t i = r * um + a;
+              ops.cmul_weighted_accum(buf + i, hat_flipped + i, w, sum + i, b - a);
+            });
           }
         });
-
-    parallel_for_chunks(0, um, [&](std::size_t r0, std::size_t r1) {
-      for (int k = 0; k < num_k; ++k) {
-        const cfloat* buf = ws.adjoint[static_cast<std::size_t>(k)].data();
-        const cfloat* hat_flipped = kernels_.band_kernel_flipped(k).data();
-        const float w = ws.weights[static_cast<std::size_t>(k)];
-        const SocsKernels::BandSupport lines = adjoint_lines(k);
-        if (lines.cols.count == um) {
-          // Whole rows: one contiguous span (the only form at M < 4).
-          const std::size_t b = r0 * um, e = r1 * um;
-          ops.cmul_weighted_accum(buf + b, hat_flipped + b, w, sum + b, e - b);
-          continue;
-        }
-        for (std::size_t r = r0; r < r1; ++r) {
-          if (!lines.rows.contains(r, um)) continue;
-          fft::for_each_range(lines.cols, um, [&](std::size_t a, std::size_t b) {
-            const std::size_t i = r * um + a;
-            ops.cmul_weighted_accum(buf + i, hat_flipped + i, w, sum + i, b - a);
-          });
-        }
-      }
-    }, /*serial_threshold=*/1024 / um);
   }
 
   // One inverse for every kernel and corner: pad S to the full grid
@@ -389,6 +436,7 @@ LithoSim::PvBand LithoSim::pv_band(const geom::Grid& mask, float dose_delta) con
   GANOPC_OBS_SPAN("litho.pv_band");
   GANOPC_CHECK(dose_delta > 0.0f && dose_delta < 1.0f);
   const geom::Grid aerial_image = aerial(mask);
+  LithoWorkspace& ws = tls_workspace();
   PvBand band;
   band.outer = print(aerial_image, 1.0f + dose_delta);
   band.inner = print(aerial_image, 1.0f - dose_delta);
@@ -397,16 +445,20 @@ LithoSim::PvBand LithoSim::pv_band(const geom::Grid& mask, float dose_delta) con
   // one simulation pixel — so the band area is measured on a band-limited
   // super-sampled intensity field (~2nm effective pixels). The aerial image
   // carries at most twice the pupil bandwidth, far below grid Nyquist, so
-  // Fourier zero-padding reconstructs the continuous field exactly.
+  // Fourier zero-padding reconstructs the continuous field exactly. The
+  // field and its spectrum live in the workspace (12 MB at 128^2 / 16 nm).
   std::size_t factor = 1;
   while (pixel_nm() / static_cast<std::int32_t>(factor) > 2) factor *= 2;
   const auto n = static_cast<std::size_t>(grid_size());
-  const std::vector<float> fine =
-      fft::fourier_upsample_2d(aerial_image.data, n, n, factor);
+  const std::size_t fine_px = n * factor * n * factor;
+  if (ws.ensure_upsample(n * n, fine_px) && obs::metrics_enabled())
+    obs::counter("litho.workspace.grows").inc();
+  fft::fourier_upsample_into(aerial_image.data.data(), n, n, factor, ws.spec.data(),
+                             ws.fine_spec.data(), ws.fine.data());
   const float lo = threshold_ / (1.0f + dose_delta);
   const float hi = threshold_ / (1.0f - dose_delta);
   std::int64_t diff_px = 0;
-  for (const float v : fine) diff_px += (v >= lo) != (v >= hi);
+  for (std::size_t i = 0; i < fine_px; ++i) diff_px += (ws.fine[i] >= lo) != (ws.fine[i] >= hi);
   const double fine_pixel = static_cast<double>(pixel_nm()) / static_cast<double>(factor);
   band.area_nm2 =
       static_cast<std::int64_t>(std::llround(diff_px * fine_pixel * fine_pixel));

@@ -49,9 +49,11 @@ class LithoSim {
 
   /// Aerial image of a (possibly continuous-valued) mask in [0, 1]. Scratch
   /// buffers come from the calling thread's workspace, so repeated calls
-  /// reuse them. The SOCS per-kernel loop runs on the shared thread pool with
-  /// a fixed-order per-pixel reduction: results are bit-identical at any
-  /// thread count.
+  /// reuse them. On one thread the SOCS kernels run kernel-major, each
+  /// coherent field added into the per-pixel sum as soon as it is formed; on
+  /// the shared thread pool all fields are formed in parallel, then summed.
+  /// Every pixel sums its kernels in ascending order, so results are
+  /// bit-identical at any thread count.
   geom::Grid aerial(const geom::Grid& mask) const;
 
   /// Hard resist print of an aerial image at the given dose.
@@ -95,8 +97,9 @@ class LithoSim {
   /// over kernels and corners accumulates in the frequency domain on the
   /// band grid: D corners cost one forward pass (1 mask FFT + N_h band
   /// IFFTs + upsample), D * (low-pass of dE/dI + N_h band FFTs) and a single
-  /// full-grid inverse (DESIGN.md §7). Per-kernel loops run on the thread
-  /// pool; reductions are fixed-order (deterministic at any thread count).
+  /// full-grid inverse (DESIGN.md §7). `ws` holds all N_h fields and, on
+  /// one thread, a single adjoint spectrum (kernel-major, as in aerial());
+  /// reductions are fixed-order (deterministic at any thread count).
   /// `grad_out` is resized to the mask geometry.
   void gradient_into(const geom::Grid& mask_b, const geom::Grid& target,
                      std::span<const float> doses, geom::Grid& grad_out,
@@ -108,7 +111,9 @@ class LithoSim {
     std::int64_t area_nm2 = 0; ///< XOR area between the two contours
   };
 
-  /// Process-variation band under +/- dose error (paper: +/-2%).
+  /// Process-variation band under +/- dose error (paper: +/-2%). The band
+  /// area is measured on a ~2 nm super-sampled intensity field whose buffers
+  /// (12 MB at 128^2 / 16 nm) stay in the calling thread's workspace.
   PvBand pv_band(const geom::Grid& mask, float dose_delta = 0.02f) const;
 
   /// Squared L2 error between the nominal print of `mask` and `target`
@@ -122,5 +127,9 @@ class LithoSim {
   ResistConfig resist_;
   float threshold_;
 };
+
+/// Test hook: the calling thread's workspace, the one aerial(), simulate(),
+/// forward_relaxed(), gradient() and pv_band() use.
+const LithoWorkspace& thread_workspace();
 
 }  // namespace ganopc::litho

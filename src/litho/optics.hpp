@@ -46,8 +46,12 @@ struct SourcePoint {
 };
 
 /// Sample the annular source at `count` points on concentric rings.
-/// Weights are uniform and sum to 1. Points come in +/- pairs so the sampled
-/// source, like the physical one, is symmetric under inversion.
+/// Weights are uniform and sum to 1. A ring with an odd number of points
+/// (11 and 13 at the default 24) holds no antipodal pairs, so the sampled
+/// source is not symmetric under inversion. At zero defocus images do not
+/// depend on that (|A_s| = |A_-s| for a real mask and a real pupil); with
+/// defocus they do, and a 180-degree-symmetric mask then images slightly
+/// asymmetrically.
 std::vector<SourcePoint> sample_annular_source(const OpticsConfig& config, int count);
 
 }  // namespace ganopc::litho

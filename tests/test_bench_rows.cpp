@@ -50,5 +50,18 @@ TEST(BenchRows, FreshRunWritesEveryCommittedStageRow) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(BenchRows, CommittedLayerBaselineNamesTheLithoPixelPasses) {
+  // The first test only checks committed rows against a fresh run; these
+  // rows must not leave the committed baseline either: the gradient's dE/dI
+  // pass, pv_band's upsample and the fused 3-dose gradient.
+  const json::Value committed =
+      obs::load_bench_file(std::string(GANOPC_SOURCE_DIR) + "/BENCH_layers.json");
+  const json::Value* stages = committed.find("stages");
+  ASSERT_TRUE(stages != nullptr && stages->is_object());
+  for (const char* row :
+       {"litho.resist_grad[128]", "fft.upsample_2d[128x8]", "litho.gradient_3dose"})
+    EXPECT_NE(stages->find(row), nullptr) << "BENCH_layers.json lacks row '" << row << "'";
+}
+
 }  // namespace
 }  // namespace ganopc

@@ -26,6 +26,7 @@
 #include "gradcheck.hpp"
 #include "ilt/ilt_kernels.hpp"
 #include "litho/lithosim.hpp"
+#include "litho/resist_kernels.hpp"
 #include "nn/gemm.hpp"
 
 namespace ganopc {
@@ -197,6 +198,58 @@ TEST(IltKernelConformance, ArmsAreRunToRunDeterministic) {
     kern->update_sigmoid(p2.data(), g.data(), 0.25f, 4.0f, m2.data(), n);
     EXPECT_EQ(0, std::memcmp(p1.data(), p2.data(), n * sizeof(float)));
     EXPECT_EQ(0, std::memcmp(m1.data(), m2.data(), n * sizeof(float)));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// dE/dI pixel pass of the litho gradient
+// ---------------------------------------------------------------------------
+
+TEST(ResistKernelConformance, ResistGradMatchesScalar) {
+  SKIP_WITHOUT_AVX2();
+  const litho::ResistGradFn sc = litho::resist_grad_for(SimdLevel::kScalar);
+  const litho::ResistGradFn vx = litho::resist_grad_for(SimdLevel::kAvx2);
+  Prng rng(106);
+  const float threshold = 0.29f;
+  for (const std::size_t n : kSizes) {
+    for (const std::size_t off : kOffsets) {
+      for (const float alpha : {20.0f, 50.0f}) {
+        for (const float dose : {0.98f, 1.0f, 1.02f}) {
+          // Intensities straddle the threshold, from deep saturation on both
+          // sides to the steep middle; targets are binary.
+          const std::vector<float> intensity = random_floats(rng, n + off, 0.0f, 1.2f);
+          std::vector<float> target = random_floats(rng, n + off, 0.0f, 1.0f);
+          for (auto& t : target) t = t < 0.5f ? 0.0f : 1.0f;
+          std::vector<float> xs(n + off, -1.0f), xv(n + off, -1.0f);
+          sc(intensity.data() + off, target.data() + off, alpha, dose, threshold,
+             xs.data() + off, n);
+          vx(intensity.data() + off, target.data() + off, alpha, dose, threshold,
+             xv.data() + off, n);
+          // x = 2 alpha dose (z - t) z (1 - z). The arms' sigmoids agree to
+          // the 2e-6 of the ILT sigmoid kernels; d/dz of (z - t) z (1 - z) is
+          // at most 1.25 in magnitude for t in {0, 1}, and the products add a
+          // few float ULPs of the 0.25 peak.
+          const float bound = 2.0f * alpha * dose * (1.25f * 2e-6f + 4.0f * 3e-8f);
+          EXPECT_LE(max_abs_diff(xs.data() + off, xv.data() + off, n), bound)
+              << "n=" << n << " off=" << off << " alpha=" << alpha << " dose=" << dose;
+        }
+      }
+    }
+  }
+}
+
+TEST(ResistKernelConformance, ArmsAreRunToRunDeterministic) {
+  Prng rng(107);
+  std::vector<litho::ResistGradFn> arms = {litho::resist_grad_for(SimdLevel::kScalar)};
+  if (have_avx2()) arms.push_back(litho::resist_grad_for(SimdLevel::kAvx2));
+  const std::size_t n = 1000;
+  const std::vector<float> intensity = random_floats(rng, n, 0.0f, 1.2f);
+  const std::vector<float> target = random_floats(rng, n, 0.0f, 1.0f);
+  for (const auto fn : arms) {
+    std::vector<float> x1(n), x2(n);
+    fn(intensity.data(), target.data(), 50.0f, 1.0f, 0.29f, x1.data(), n);
+    fn(intensity.data(), target.data(), 50.0f, 1.0f, 0.29f, x2.data(), n);
+    EXPECT_EQ(0, std::memcmp(x1.data(), x2.data(), n * sizeof(float)));
   }
 }
 

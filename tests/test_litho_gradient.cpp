@@ -5,7 +5,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <thread>
 
+#include "common/parallel.hpp"
 #include "common/prng.hpp"
 #include "gradcheck.hpp"
 #include "litho/lithosim.hpp"
@@ -207,6 +209,54 @@ TEST(LithoGradient, ZeroWhereWaferMatchesTargetExactly) {
   // to that wafer so the residual is identically zero.
   const geom::Grid grad = sim.gradient(mask, fwd.wafer_relaxed);
   for (float v : grad.data) EXPECT_NEAR(v, 0.0f, 1e-6f);
+}
+
+TEST(LithoGradient, WorkspaceHoldsEveryFieldButOneGroupOfAdjointSpectra) {
+  // On one thread the SOCS passes run kernel-major: a gradient keeps all K
+  // coherent fields (every dose corner re-reads them) but one adjoint
+  // spectrum, and an aerial image needs one field. On a pool every kernel is
+  // one group, so both passes hold K.
+  const LithoSim sim(OpticsConfig{}, ResistConfig{}, 128, 16);
+  const std::size_t n = 128, m = 64, k = 24, fine = 1024;
+  ASSERT_EQ(static_cast<std::size_t>(sim.kernels().band_grid()), m);
+  ASSERT_EQ(static_cast<std::size_t>(sim.kernels().count()), k);
+  const std::size_t band = m * m * sizeof(fft::cfloat);
+  // Forward: spec (N^2), mask_hat and band_spec (M^2) spectra; band_real
+  // (M^2) and the weights (K) in float; acc (M^2) in double.
+  const std::size_t forward = (n * n + 2 * m * m) * sizeof(fft::cfloat) +
+                              (m * m + k) * sizeof(float) + m * m * sizeof(double);
+  // Gradient: dE/dI and the aerial scratch (N^2 floats each).
+  const std::size_t adjoint = 2 * n * n * sizeof(float);
+  // pv_band: the 2 nm field (1024^2 floats) and its spectrum.
+  const std::size_t upsample = fine * fine * (sizeof(float) + sizeof(fft::cfloat));
+  const geom::Grid target = center_block(128, 16);
+  const geom::Grid mask = soft_mask(target);
+  const std::vector<float> doses = {0.98f, 1.0f, 1.02f};
+  for (const std::size_t t : {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
+    ThreadPool::reset(t);
+    const std::size_t group = t == 1 ? 1 : k;
+    LithoWorkspace ws;
+    geom::Grid grad;
+    sim.gradient_into(mask, target, doses, grad, ws);
+    EXPECT_EQ(ws.fields.size(), k) << t << " threads";
+    EXPECT_EQ(ws.adjoint.size(), group) << t << " threads";
+    EXPECT_LE(ws.bytes(), (k + group) * band + forward + adjoint) << t << " threads";
+
+    // aerial() and pv_band() use the calling thread's workspace; a fresh
+    // thread starts with an empty one. An aerial image holds no adjoint
+    // buffers, and pv_band adds its 2 nm field for the thread's life.
+    std::thread([&] {
+      (void)sim.aerial(mask);
+      const LithoWorkspace& tws = thread_workspace();
+      EXPECT_EQ(tws.fields.size(), group) << t << " threads";
+      EXPECT_TRUE(tws.adjoint.empty()) << t << " threads";
+      EXPECT_LE(tws.bytes(), group * band + forward) << t << " threads";
+      (void)sim.pv_band(mask);
+      EXPECT_EQ(tws.fields.size(), group) << t << " threads";
+      EXPECT_LE(tws.bytes(), group * band + forward + upsample) << t << " threads";
+    }).join();
+  }
+  ThreadPool::reset(ThreadPool::default_thread_count());
 }
 
 TEST(LithoGradient, GradientGeometryMatchesMask) {

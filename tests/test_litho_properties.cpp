@@ -94,8 +94,13 @@ TEST(LithoProperties, PvBandGrowsWithDoseDelta) {
 }
 
 TEST(LithoProperties, MirrorSymmetricMaskPrintsMirrorSymmetric) {
-  // The sampled annular source is inversion-symmetric, so a mask symmetric
-  // under 180-degree rotation images to a symmetric intensity.
+  // A mask symmetric under 180-degree rotation images to a symmetric
+  // intensity at zero defocus, source point by source point: for a real mask
+  // and a real, even pupil, A_s(-x) = A_-s(x) and |A_-s| = |A_s|, so each
+  // |A_s|^2 is itself symmetric. The sampled source does not need to be (its
+  // rings of 11 and 13 points hold no antipodal pairs), and the images agree
+  // to float round-off. A defocused pupil is complex, |A_-s| != |A_s|, and
+  // this source then breaks the symmetry (CHANGES.md).
   const LithoSim sim = make_sim(24);
   const std::int32_t n = 64;
   geom::Grid mask(n, n, 16);
@@ -108,7 +113,7 @@ TEST(LithoProperties, MirrorSymmetricMaskPrintsMirrorSymmetric) {
     for (std::int32_t c = 0; c < n; ++c) {
       const float v1 = aerial.at(r, c);
       const float v2 = aerial.at(n - 1 - r, n - 1 - c);
-      EXPECT_NEAR(v1, v2, 0.02f) << r << "," << c;
+      EXPECT_NEAR(v1, v2, 1e-5f) << r << "," << c;
     }
 }
 

@@ -59,8 +59,9 @@ TEST(Optics, PaperKernelCountIs24) {
 }
 
 TEST(Optics, SourceApproxCentroidAtOrigin) {
-  // Ring sampling keeps the sampled source balanced (centroid ~ 0), matching
-  // the inversion symmetry of the physical annulus.
+  // Ring sampling keeps the sampled source balanced (centroid ~ 0), like the
+  // inversion-symmetric physical annulus; the odd rings themselves hold no
+  // antipodal pairs (optics.hpp).
   OpticsConfig cfg;
   const auto pts = sample_annular_source(cfg, 24);
   double cx = 0, cy = 0;
